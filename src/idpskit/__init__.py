@@ -77,6 +77,7 @@ from .fixedpoint import (
     from_fixed,
     lut_tanh,
     q_forward,
+    q_forward_batch,
     q_predict_class,
     quantize_network,
     to_fixed,

@@ -47,6 +47,7 @@ from .schema import (
     load_schema,
     load_taxonomy,
 )
+from .validation import check_labels
 
 PARTITIONS = ("train", "val", "test")
 
@@ -82,17 +83,9 @@ def write_partition_csv(path, d: Dataset) -> None:
 
 
 def read_partition_csv(path) -> Dataset:
-    vectors, labels = [], []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            vectors.append([float(p) for p in parts[:-1]])
-            labels.append(int(parts[-1]))
-    return Dataset(X=np.array(vectors, dtype=np.float64),
-                   y=np.array(labels, dtype=np.int64))
+    rows = np.loadtxt(path, delimiter=",", comments=None, ndmin=2)
+    return Dataset(X=np.ascontiguousarray(rows[:, :-1]),
+                   y=check_labels(rows[:, -1], name=f"labels of {path}"))
 
 
 def _counts_row(d: Dataset) -> list:
@@ -209,6 +202,18 @@ def _roc_csv(curve) -> str:
     return "\n".join(lines) + "\n"
 
 
+def write_roc_curves(out_dir, report) -> list:
+    """Write roc_class<k>.csv and roc_attack.csv for each curve the report
+    has; return the (curve name, curve) pairs written, in file order."""
+    curves = [(f"class{c}", curve) for c, curve in report.class_roc.items()
+              if curve is not None]
+    if report.attack_roc is not None:
+        curves.append(("attack", report.attack_roc))
+    for name, curve in curves:
+        write_atomic(os.path.join(out_dir, f"roc_{name}.csv"), _roc_csv(curve))
+    return curves
+
+
 def cmd_eval(args) -> int:
     bundle = load_model(args.model)
     parts = _load_partitions(args.data)
@@ -239,13 +244,7 @@ def cmd_eval(args) -> int:
             f"tp {a.tp} fp {a.fp} fn {a.fn} tn {a.tn}"
         )
         if name == "test":
-            for c, curve in report.class_roc.items():
-                if curve is not None:
-                    write_atomic(os.path.join(args.out, f"roc_class{c}.csv"),
-                                 _roc_csv(curve))
-            if report.attack_roc is not None:
-                write_atomic(os.path.join(args.out, "roc_attack.csv"),
-                             _roc_csv(report.attack_roc))
+            write_roc_curves(args.out, report)
     write_atomic(os.path.join(args.out, "summary.csv"),
                  "\n".join(summary) + "\n")
     report_txt = "\n".join(txt) + "\n"
@@ -264,17 +263,9 @@ def cmd_roc(args) -> int:
     scaled = Dataset(bundle.scaler.transform(test_p.X), test_p.y)
     report = evaluate(bundle.network, scaled, N_CLASSES)
     os.makedirs(args.out, exist_ok=True)
-    auc_lines = ["curve,auc"]
-    for c, curve in report.class_roc.items():
-        if curve is None:
-            continue
-        write_atomic(os.path.join(args.out, f"roc_class{c}.csv"),
-                     _roc_csv(curve))
-        auc_lines.append(f"class{c},{curve.auc!r}")
-    if report.attack_roc is not None:
-        write_atomic(os.path.join(args.out, "roc_attack.csv"),
-                     _roc_csv(report.attack_roc))
-        auc_lines.append(f"attack,{report.attack_roc.auc!r}")
+    auc_lines = ["curve,auc"] + [
+        f"{name},{curve.auc!r}"
+        for name, curve in write_roc_curves(args.out, report)]
     write_atomic(os.path.join(args.out, "roc_auc.csv"),
                  "\n".join(auc_lines) + "\n")
     write_manifest(args.out, "roc", {}, [args.model, test_path])

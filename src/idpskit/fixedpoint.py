@@ -184,9 +184,69 @@ def q_forward(qnet: QNetwork, x):
     return best, act
 
 
-def q_predict_class(qnet: QNetwork, X) -> np.ndarray:
-    """Vector of q_forward classes for a matrix of scaled rows."""
+def accumulator_dtype(f: FixedFormat, fan_in: int):
+    """int64 when a layer's accumulator provably fits it, else object.
+
+    Each of the fan_in products and the shifted bias is at most
+    2^(2*(total_bits-1)) in magnitude, so the sum needs
+    2*(total_bits-1) + ceil(log2(fan_in+1)) bits plus a sign bit. Above
+    63 bits the layer runs on Python ints (object arrays), which are exact
+    at any width.
+    """
+    # int.bit_length(n) == ceil(log2(n + 1)) for n >= 0
+    headroom = 2 * (f.total_bits - 1) + fan_in.bit_length() + 1
+    return np.int64 if headroom <= 63 else object
+
+
+def _div_round_even_array(num, den: int):
+    """Elementwise div_round_even; den must be positive."""
+    q = num // den
+    twice = 2 * (num - q * den)
+    return q + ((twice > den) | ((twice == den) & (q % 2 == 1)))
+
+
+def _lut_tanh_array(v: np.ndarray, lut: np.ndarray, f: FixedFormat):
+    """Elementwise lut_tanh of saturated int64 words."""
+    step = 1 << (f.frac_bits - 5)
+    lo = -(4 << f.frac_bits)
+    hi = lo + (LUT_SIZE - 1) * step
+    u = np.clip(v, lo, hi - 1) - lo
+    idx = u // step
+    base = lut[idx]
+    inner = base + _div_round_even_array((lut[idx + 1] - base) * (u - idx * step),
+                                         step)
+    return np.where(v <= lo, lut[0], np.where(v >= hi, lut[-1], inner))
+
+
+def q_forward_batch(qnet: QNetwork, X):
+    """q_forward over the rows of X at once, with the same integer results.
+
+    Returns (classes, final-layer values): an (n,) int64 class vector and
+    the (n, k) int64 matrix whose rows equal q_forward's output lists.
+    Each layer accumulates in the dtype accumulator_dtype picks for it, so
+    no sum can wrap.
+    """
+    f = qnet.format
     X = np.asarray(X, dtype=np.float64)
     if X.ndim == 1:
         X = X.reshape(1, -1)
-    return np.array([q_forward(qnet, row)[0] for row in X], dtype=np.int64)
+    if not np.all(np.isfinite(X)):
+        raise ValueError("fixed-point inputs must be finite")
+    act = np.clip(np.rint(X * f.scale), f.min_int, f.max_int).astype(np.int64)
+    lut = np.array(qnet.tanh_lut, dtype=np.int64)
+    n_layers = len(qnet.weights)
+    for l in range(n_layers):
+        dtype = accumulator_dtype(f, act.shape[1])
+        W = np.array(qnet.weights[l], dtype=dtype)
+        b = np.array(qnet.biases[l], dtype=dtype)
+        acc = act.astype(dtype, copy=False) @ W.T + b * f.scale
+        v = np.clip(_div_round_even_array(acc, f.scale), f.min_int, f.max_int)
+        act = v.astype(np.int64)
+        if l < n_layers - 1:
+            act = _lut_tanh_array(act, lut, f)
+    return np.argmax(act, axis=1).astype(np.int64), act
+
+
+def q_predict_class(qnet: QNetwork, X) -> np.ndarray:
+    """Vector of q_forward classes for a matrix of scaled rows."""
+    return q_forward_batch(qnet, X)[0]

@@ -5,7 +5,8 @@ versus normal: an alarm on a genuine attack is a true positive even when
 the predicted attack type is wrong.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -66,22 +67,20 @@ def roc(scores, positives) -> RocCurve:
         )
     order = np.argsort(-scores, kind="stable")
     s, p = scores[order], positives[order]
+    # one curve point per tie block, taken at the block's last sample
+    ends = np.append(np.flatnonzero(s[1:] != s[:-1]), len(s) - 1)
+    starts = np.append(0, ends[:-1] + 1)
+    tp = np.cumsum(p, dtype=np.int64)[ends]
+    fp = ends + 1 - tp
+    tp_prev = np.append(0, tp[:-1])
+    fp_prev = np.append(0, fp[:-1])
+    tpr, fpr = tp / n_pos, fp / n_neg
+    terms = (fpr - fp_prev / n_neg) * (tpr + tp_prev / n_pos) / 2.0
+    # cumsum adds in order, as the trapezoid sweep does; np.sum adds
+    # pairwise and can change the last bits of the AUC
+    auc = float(np.cumsum(terms)[-1])
     points = [(0.0, 0.0, float("inf"))]
-    tp = fp = 0
-    auc = 0.0
-    i = 0
-    n = len(s)
-    while i < n:
-        j = i
-        while j < n and s[j] == s[i]:
-            j += 1
-        tp_prev, fp_prev = tp, fp
-        tp += int(p[i:j].sum())
-        fp += (j - i) - int(p[i:j].sum())
-        tpr, fpr = tp / n_pos, fp / n_neg
-        auc += (fpr - fp_prev / n_neg) * (tpr + tp_prev / n_pos) / 2.0
-        points.append((fpr, tpr, float(s[i])))
-        i = j
+    points.extend(zip(fpr.tolist(), tpr.tolist(), s[starts].tolist()))
     return RocCurve(points=tuple(points), auc=auc)
 
 
@@ -141,15 +140,40 @@ def alarm_tally(preds, labels) -> AlarmTally:
 
 @dataclass(frozen=True)
 class EvaluationReport:
-    """Everything measured on one partition."""
+    """Everything measured on one partition.
+
+    The ROC curves are built on first access from the stored softmax
+    outputs and labels, so a report whose curves nobody reads costs none.
+    """
 
     confusion: np.ndarray
     success_rate: float
     failure_rate: float
     mse: float
     alarms: AlarmTally
-    class_roc: dict  # class id -> RocCurve, absent-class entries None
-    attack_roc: RocCurve | None
+    probs: np.ndarray = field(repr=False)
+    labels: np.ndarray = field(repr=False)
+
+    @cached_property
+    def class_roc(self) -> dict:
+        """Class id -> one-vs-rest RocCurve; None where the partition lacks
+        either positives or negatives of that class."""
+        out = {}
+        for c in range(self.probs.shape[1]):
+            positives = self.labels == c
+            if 0 < positives.sum() < len(self.labels):
+                out[c] = roc(self.probs[:, c], positives)
+            else:
+                out[c] = None
+        return out
+
+    @cached_property
+    def attack_roc(self) -> RocCurve | None:
+        """1 - P(normal) against actual attack presence, or None."""
+        attack_pos = self.labels != 0
+        if 0 < attack_pos.sum() < len(self.labels):
+            return roc(1.0 - self.probs[:, 0], attack_pos)
+        return None
 
 
 def evaluate(net: Network, partition, k: int) -> EvaluationReport:
@@ -158,7 +182,7 @@ def evaluate(net: Network, partition, k: int) -> EvaluationReport:
     Per-class ROC uses the softmax output of that class as the score,
     one-vs-rest; classes without both positives and negatives in the
     partition get None. The attack ROC scores 1 - P(normal) against
-    actual attack presence.
+    actual attack presence. Both are built when first read.
     """
     X = np.asarray(partition.X, dtype=np.float64)
     y = check_labels(partition.y, k, name="partition.y")
@@ -167,24 +191,12 @@ def evaluate(net: Network, partition, k: int) -> EvaluationReport:
     cm = confusion(preds, y, k)
     success, failure = accuracy(cm)
     mse = loss_mse(probs, one_hot_matrix(y, k))
-    class_roc = {}
-    for c in range(k):
-        positives = y == c
-        if 0 < positives.sum() < len(y):
-            class_roc[c] = roc(probs[:, c], positives)
-        else:
-            class_roc[c] = None
-    attack_pos = y != 0
-    if 0 < attack_pos.sum() < len(y):
-        attack_roc = roc(1.0 - probs[:, 0], attack_pos)
-    else:
-        attack_roc = None
     return EvaluationReport(
         confusion=cm,
         success_rate=success,
         failure_rate=failure,
         mse=mse,
         alarms=alarm_tally(preds, y),
-        class_roc=class_roc,
-        attack_roc=attack_roc,
+        probs=probs,
+        labels=y,
     )

@@ -1,6 +1,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from idpskit.cli import main, read_partition_csv
@@ -27,6 +28,52 @@ def pipeline(tmp_path_factory):
     ) == 0
     return {"base": base, "corpus": corpus, "prep": prep, "model": model,
             "corpus_bytes": corpus_bytes}
+
+
+def line_loop_reader(path):
+    """Reference for read_partition_csv: one Python parse per line."""
+    vectors, labels = [], []
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            vectors.append([float(p) for p in parts[:-1]])
+            labels.append(int(parts[-1]))
+    return np.array(vectors, dtype=np.float64), np.array(labels, dtype=np.int64)
+
+
+class TestReadPartitionCsv:
+    @pytest.mark.parametrize("text", [
+        "0.1,0.25,1e-300,3\n",                       # one row
+        "0.1,0.25,1e-300,3",                          # one row, no newline
+        "0.1,0.25,1e-300,3\n0.5,-0.0,2.5e+17,0\n\n",  # trailing blank line
+    ])
+    def test_matches_line_loop_reader(self, tmp_path, text):
+        path = tmp_path / "part.csv"
+        path.write_text(text)
+        got = read_partition_csv(path)
+        X, y = line_loop_reader(path)
+        for a, b in ((got.X, X), (got.y, y)):
+            assert a.shape == b.shape and a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()
+
+    def test_partition_files_round_trip(self, pipeline):
+        for name in ("train", "val", "test"):
+            path = pipeline["prep"] / f"{name}.csv"
+            got = read_partition_csv(path)
+            X, y = line_loop_reader(path)
+            assert got.X.tobytes() == X.tobytes() and got.X.shape == X.shape
+            assert got.y.tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("text", ["0.1,0.2,1.5\n", "0.1,0.2,1\n0.1,2\n",
+                                      "0.1,x,1\n", "# note\n0.1,0.2,1\n"])
+    def test_malformed_rejected(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError):
+            read_partition_csv(path)
 
 
 class TestPrep:
@@ -141,6 +188,23 @@ class TestTrainEvalChain:
         assert any(r.startswith("attack,") for r in auc_rows)
         roc_file = out / "roc_class0.csv"
         assert roc_file.read_text().splitlines()[0] == "fpr,tpr,threshold"
+
+    def test_eval_and_roc_write_the_same_curves(self, pipeline, tmp_path):
+        for command in ("eval", "roc"):
+            assert run_cli(command, "--data", pipeline["prep"], "--model",
+                           pipeline["model"], "--out", tmp_path / command) == 0
+        curves = sorted(n for n in os.listdir(tmp_path / "roc")
+                        if n.startswith("roc_") and n != "roc_auc.csv")
+        assert "roc_attack.csv" in curves
+        assert curves == sorted(n for n in os.listdir(tmp_path / "eval")
+                                if n.startswith("roc_"))
+        for name in curves:
+            assert (tmp_path / "eval" / name).read_bytes() == \
+                (tmp_path / "roc" / name).read_bytes()
+        names = [row.split(",")[0] for row in
+                 (tmp_path / "roc" / "roc_auc.csv").read_text().splitlines()]
+        assert names == ["curve"] + [n[len("roc_"):-len(".csv")] for n in
+                                     curves if n != "roc_attack.csv"] + ["attack"]
 
 
 class TestQuantizeCompareDetect:

@@ -6,13 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idpskit.exceptions import RangeExceededError
+import idpskit.fixedpoint as fixedpoint
 from idpskit.fixedpoint import (
     FixedFormat,
+    QNetwork,
+    accumulator_dtype,
     build_tanh_lut,
     div_round_even,
     from_fixed,
     lut_tanh,
     q_forward,
+    q_forward_batch,
     q_predict_class,
     quantize_network,
     to_fixed,
@@ -257,3 +261,94 @@ class TestQForward:
             agree += int(np.sum(fcls == qcls))
             total += len(X)
         assert agree / total >= 0.95
+
+
+def random_qnet(rng, fmt, sizes):
+    """Integer weights and biases of mixed magnitude, up to the word range."""
+    weights, biases = [], []
+    for fan_in, fan_out in zip(sizes, sizes[1:]):
+        limit = min(1 << int(rng.integers(0, fmt.total_bits)), fmt.max_int)
+        weights.append(rng.integers(-limit, limit + 1,
+                                    (fan_out, fan_in)).tolist())
+        biases.append(rng.integers(-limit, limit + 1, fan_out).tolist())
+    return QNetwork(weights=weights, biases=biases,
+                    tanh_lut=build_tanh_lut(fmt), format=fmt,
+                    layer_sizes=tuple(sizes))
+
+
+def assert_batch_matches_scalar(qnet, X):
+    classes, acc = q_forward_batch(qnet, X)
+    assert classes.dtype == np.int64 and acc.dtype == np.int64
+    for row, cls, out in zip(X, classes, acc):
+        ref_cls, ref_out = q_forward(qnet, row)
+        assert int(cls) == ref_cls
+        assert out.tolist() == ref_out
+    np.testing.assert_array_equal(q_predict_class(qnet, X), classes)
+
+
+class TestQForwardBatch:
+    @given(
+        total_bits=st.integers(min_value=8, max_value=32),
+        frac_offset=st.integers(min_value=0, max_value=26),
+        hidden=st.lists(st.integers(min_value=1, max_value=9), min_size=1,
+                        max_size=3),
+        fan_in=st.integers(min_value=1, max_value=45),
+        n_out=st.integers(min_value=1, max_value=7),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_matches_q_forward_row_by_row(self, total_bits, frac_offset,
+                                          hidden, fan_in, n_out, seed):
+        frac_bits = 5 + frac_offset % (total_bits - 5)
+        fmt = FixedFormat(total_bits, frac_bits)
+        rng = np.random.default_rng(seed)
+        qnet = random_qnet(rng, fmt, [fan_in, *hidden, n_out])
+        # inputs beyond [0, 1] push the input conversion, the layer
+        # saturation and the LUT clamps
+        X = rng.uniform(-1.0, 2.0, size=(int(rng.integers(1, 25)), fan_in))
+        assert_batch_matches_scalar(qnet, X)
+
+    def test_single_row_vector(self):
+        qnet = quantize_network(init_network(NetworkLayout(5, (4,), 3),
+                                             seed=2), Q412)
+        x = np.random.default_rng(1).uniform(0, 1, 5)
+        classes, acc = q_forward_batch(qnet, x)
+        assert (int(classes[0]), acc[0].tolist()) == q_forward(qnet, x)
+
+    def test_non_finite_input_rejected(self):
+        qnet = quantize_network(zero_net([3, 2, 2]), Q412)
+        with pytest.raises(ValueError):
+            q_forward_batch(qnet, np.array([[0.5, np.nan, 0.1]]))
+
+    def test_headroom_rule(self):
+        # 2*(16-1) + ceil(log2(42)) + 1 = 37 bits; 2*(32-1) + 6 + 1 = 69
+        assert accumulator_dtype(Q412, 41) is np.int64
+        assert accumulator_dtype(FixedFormat(32, 16), 41) is object
+        # fan_in 1 -> 2*31 + 1 + 1 = 64 bits, one too many
+        assert accumulator_dtype(FixedFormat(32, 16), 1) is object
+        # 2*30 + ceil(log2(4)) + 1 = 63 bits: the widest that stays int64
+        assert accumulator_dtype(FixedFormat(31, 16), 3) is np.int64
+        assert accumulator_dtype(FixedFormat(31, 16), 4) is object
+
+    def test_wide_format_uses_python_ints_and_never_wraps(self, monkeypatch):
+        # q16.16 words with weights of +-32767.0 on a 41-20-6 net, inputs
+        # across the word range: the first layer's sums need more than
+        # 64 bits, so int64 accumulators would wrap
+        fmt = FixedFormat(32, 16)
+        rng = np.random.default_rng(3)
+        net = init_network(NetworkLayout(41, (20,), 6), seed=3)
+        for W, b in zip(net.weights, net.biases):
+            W[:] = rng.choice([-32767.0, 32767.0], size=W.shape)
+            b[:] = 0.0
+        qnet = quantize_network(net, fmt)
+        X = rng.uniform(-32768.0, 32768.0, size=(200, 41))
+        assert accumulator_dtype(fmt, 41) is object
+        assert accumulator_dtype(fmt, 20) is object
+        assert_batch_matches_scalar(qnet, X)
+
+        # the case is a real overflow: plain int64 gets classes wrong
+        monkeypatch.setattr(fixedpoint, "accumulator_dtype",
+                            lambda f, fan_in: np.int64)
+        wrapped = q_predict_class(qnet, X)
+        expected = [q_forward(qnet, row)[0] for row in X]
+        assert int(np.sum(wrapped != expected)) > 0

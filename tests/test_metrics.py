@@ -21,6 +21,37 @@ from idpskit.metrics import (
 from idpskit.mlp import NetworkLayout, init_network
 
 
+def staircase_roc(scores, positives):
+    """Reference for roc(): a Python sweep over the tie blocks.
+
+    Returns (points, auc) from the same float operations in the same
+    order as roc(), so the two must agree bit for bit.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    positives = np.asarray(positives, dtype=bool)
+    n_pos = int(positives.sum())
+    n_neg = len(positives) - n_pos
+    order = np.argsort(-scores, kind="stable")
+    s, p = scores[order], positives[order]
+    points = [(0.0, 0.0, float("inf"))]
+    tp = fp = 0
+    auc = 0.0
+    i = 0
+    n = len(s)
+    while i < n:
+        j = i
+        while j < n and s[j] == s[i]:
+            j += 1
+        tp_prev, fp_prev = tp, fp
+        tp += int(p[i:j].sum())
+        fp += (j - i) - int(p[i:j].sum())
+        tpr, fpr = tp / n_pos, fp / n_neg
+        auc += (fpr - fp_prev / n_neg) * (tpr + tp_prev / n_pos) / 2.0
+        points.append((fpr, tpr, float(s[i])))
+        i = j
+    return tuple(points), auc
+
+
 class TestConfusion:
     def test_all_correct_is_diagonal(self):
         labels = np.arange(10) % 3
@@ -147,6 +178,65 @@ class TestRoc:
         assert abs(curve.auc - auc_pair_count(scores, positives)) < 1e-9
 
 
+def _labels_with_both_classes(rng, n):
+    positives = rng.random(n) < rng.uniform(0.05, 0.95)
+    if positives.all() or not positives.any():
+        positives[0] = not positives[0]
+    return positives
+
+
+def _assert_same_curve(scores, positives):
+    curve = roc(scores, positives)
+    points, auc = staircase_roc(scores, positives)
+    # exact equality, repr included: the CSVs print these with !r
+    assert repr(curve.points) == repr(points)
+    assert repr(curve.auc) == repr(auc)
+    assert abs(curve.auc - auc_pair_count(scores, positives)) < 1e-9
+
+
+class TestRocMatchesStaircase:
+    @given(
+        n=st.integers(min_value=2, max_value=300),
+        levels=st.integers(min_value=1, max_value=6),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=150)
+    def test_heavy_ties(self, n, levels, seed):
+        rng = np.random.default_rng(seed)
+        scores = rng.integers(0, levels, n) / max(levels - 1, 1)
+        _assert_same_curve(scores, _labels_with_both_classes(rng, n))
+
+    @given(
+        n=st.integers(min_value=2, max_value=200),
+        value=st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=50)
+    def test_single_tied_block(self, n, value, seed):
+        rng = np.random.default_rng(seed)
+        positives = _labels_with_both_classes(rng, n)
+        _assert_same_curve(np.full(n, value), positives)
+        assert len(roc(np.full(n, value), positives).points) == 2
+
+    @given(
+        n=st.integers(min_value=2, max_value=500),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=100)
+    def test_all_distinct_scores(self, n, seed):
+        rng = np.random.default_rng(seed)
+        scores = rng.permutation(n) / n
+        positives = _labels_with_both_classes(rng, n)
+        _assert_same_curve(scores, positives)
+        assert len(roc(scores, positives).points) == n + 1
+
+    def test_signed_zero_threshold_is_first_of_block(self):
+        # 0.0 == -0.0 forms one tie block; its threshold is the first
+        # sorted score, as the sweep printed it
+        _assert_same_curve([0.0, -0.0, 1.0, -0.0], [True, False, True, False])
+        _assert_same_curve([-0.0, 0.0, 1.0, 0.0], [True, False, True, False])
+
+
 class TestAlarms:
     @pytest.mark.parametrize(
         "predicted,actual,expected",
@@ -226,3 +316,24 @@ class TestEvaluate:
         assert report.alarms.total == 50
         assert 0.0 <= report.mse <= 1.0
         assert report.confusion.sum() == 50
+
+    def test_curves_built_on_first_read_only(self, monkeypatch):
+        import idpskit.metrics as metrics
+
+        built = []
+        real_roc = metrics.roc
+        monkeypatch.setattr(metrics, "roc",
+                            lambda *a: built.append(1) or real_roc(*a))
+        net = init_network(NetworkLayout(4, (3,), 6), seed=1)
+        part = Dataset(X=np.random.default_rng(1).uniform(0, 1, (30, 4)),
+                       y=np.random.default_rng(2).integers(0, 3, 30))
+        report = evaluate(net, part, 6)
+        assert built == []
+        curves = report.class_roc
+        assert len(built) == sum(c is not None for c in curves.values()) == 3
+        assert report.attack_roc is report.attack_roc
+        assert report.class_roc is curves
+        assert len(built) == 4
+        positives = part.y != 0
+        expected = roc(1.0 - report.probs[:, 0], positives)
+        assert report.attack_roc == expected

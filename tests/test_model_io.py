@@ -1,3 +1,6 @@
+import os
+import stat
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ from idpskit.model_io import (
     parse_qmodel,
     save_model,
     save_qmodel,
+    write_atomic,
 )
 from idpskit.preprocessing import RangeScaler
 from idpskit.schema import default_taxonomy
@@ -92,3 +96,17 @@ class TestQModelRoundTrip:
     def test_version_guard(self):
         with pytest.raises(ModelFormatError):
             parse_qmodel("not-a-qmodel\n")
+
+
+class TestWriteAtomic:
+    @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600),
+                                            (0o002, 0o664)])
+    def test_mode_follows_umask(self, tmp_path, umask, mode):
+        old = os.umask(umask)
+        try:
+            write_atomic(tmp_path / "artifact.txt", "x\n")
+        finally:
+            os.umask(old)
+        st_mode = os.stat(tmp_path / "artifact.txt").st_mode
+        assert stat.S_IMODE(st_mode) == mode
+        assert os.listdir(tmp_path) == ["artifact.txt"]
