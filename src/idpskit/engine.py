@@ -2,16 +2,18 @@
 
 Records arrive as KDD-format lines, with (42 fields) or without (41
 fields) labels; labels never influence decisions, only the optional live
-accuracy tallies. Malformed lines degrade to an alert verdict — the
-engine fails safe and loud, and neighboring records are unaffected.
+accuracy tallies. Malformed lines (any IdpsError raised while parsing or
+encoding) degrade to an alert verdict — the engine fails safe and loud,
+and neighboring records are unaffected. Any other exception is a bug and
+propagates.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import IdpsError
-from .ingest import RawRecord, encode_record, map_attack
+from .exceptions import FieldCountError, IdpsError
+from .ingest import RawRecord, encode_record, parse_record
 from .metrics import alarm_outcome
 from .mlp import forward
 from .schema import N_CLASSES, N_FEATURES
@@ -51,15 +53,13 @@ class Verdict:
     """One decision: record index, predicted class, action, class scores.
 
     predicted is -1 for malformed input (action alert, scores zero);
-    actual carries the stream label when one was present. timestamp is a
-    monotonic sequence number in emission order.
+    actual carries the stream label when one was present.
     """
 
     record_index: int
     predicted: int
     action: str
     scores: tuple
-    timestamp: int
     actual: int | None = None
     error: str | None = None
 
@@ -93,21 +93,19 @@ class StreamSummary:
         return "\n".join(lines)
 
 
-def _parse_stream_line(line, schema, taxonomy):
-    """Accept 41 (unlabeled) or 42 (labeled) fields; return (record, actual)."""
-    fields = [f.strip() for f in line.split(",")]
-    if len(fields) == N_FEATURES:
-        return RawRecord(features=fields, label="unlabeled"), None
-    if len(fields) == N_FEATURES + 1:
-        label = fields[-1]
-        if label.endswith("."):
-            label = label[:-1]
-        if not label:
-            raise IdpsError("empty label")
-        return RawRecord(features=fields[:-1], label=label), \
-            map_attack(label, taxonomy)
-    raise IdpsError(
-        f"expected {N_FEATURES} or {N_FEATURES + 1} fields, got {len(fields)}"
+def _parse_stream_line(line):
+    """Parse a labeled (42-field) or unlabeled (41-field) stream line.
+
+    Labeled lines go through ingest.parse_record. An unlabeled line gets
+    the empty label, which parse_record never returns.
+    """
+    n_fields = line.count(",") + 1
+    if n_fields == N_FEATURES + 1:
+        return parse_record(line)
+    if n_fields == N_FEATURES:
+        return RawRecord(features=[f.strip() for f in line.split(",")], label="")
+    raise FieldCountError(
+        f"expected {N_FEATURES} or {N_FEATURES + 1} fields, got {n_fields}"
     )
 
 
@@ -128,26 +126,19 @@ def process_stream(lines, bundle, schema, policy: Policy | None = None):
             continue
         index += 1
         try:
-            raw, actual = _parse_stream_line(line, schema, bundle.taxonomy)
-            vec, _ = encode_record(raw, schema, bundle.taxonomy, strict=True)
-            scaled = bundle.scaler.transform(vec.reshape(1, -1))[0]
-            scores = forward(bundle.network, scaled)
-            predicted = int(np.argmax(scores))
-            yield Verdict(
-                record_index=index,
-                predicted=predicted,
-                action=decide(predicted, policy),
-                scores=tuple(float(s) for s in scores),
-                timestamp=index,
-                actual=actual,
-            )
-        except (IdpsError, ValueError) as exc:
-            yield Verdict(
-                record_index=index,
-                predicted=-1,
-                action=ALERT,
-                scores=zeros,
-                timestamp=index,
-                actual=None,
-                error=str(exc),
-            )
+            raw = _parse_stream_line(line)
+            vec, cid = encode_record(raw, schema, bundle.taxonomy, strict=True)
+        except IdpsError as exc:
+            yield Verdict(record_index=index, predicted=-1, action=ALERT,
+                          scores=zeros, error=str(exc))
+            continue
+        scaled = bundle.scaler.transform(vec.reshape(1, -1))[0]
+        scores = forward(bundle.network, scaled)
+        predicted = int(np.argmax(scores))
+        yield Verdict(
+            record_index=index,
+            predicted=predicted,
+            action=decide(predicted, policy),
+            scores=tuple(scores.tolist()),
+            actual=cid if raw.label else None,
+        )

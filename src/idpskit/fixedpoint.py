@@ -62,10 +62,13 @@ class FixedFormat:
         return cls(total_bits=int_bits + frac_bits, frac_bits=frac_bits)
 
 
+def _saturate(v: int, f: FixedFormat) -> int:
+    return min(max(v, f.min_int), f.max_int)
+
+
 def to_fixed(x: float, f: FixedFormat) -> int:
     """Round-half-to-even of x * 2^frac_bits, saturated to the word range."""
-    v = int(np.rint(x * f.scale))
-    return min(max(v, f.min_int), f.max_int)
+    return _saturate(int(np.rint(x * f.scale)), f)
 
 
 def from_fixed(i: int, f: FixedFormat) -> float:
@@ -79,10 +82,6 @@ def div_round_even(num: int, den: int) -> int:
     if twice > den or (twice == den and q & 1):
         q += 1
     return q
-
-
-def _saturate(v: int, f: FixedFormat) -> int:
-    return min(max(v, f.min_int), f.max_int)
 
 
 def build_tanh_lut(f: FixedFormat) -> list:

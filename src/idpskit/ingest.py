@@ -5,6 +5,7 @@ an attack-name label, the label optionally terminated by '.'.
 """
 
 import gzip
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,17 +74,18 @@ def map_attack(name: str, taxonomy: AttackTaxonomy) -> int:
 def encode_record(raw, schema, taxonomy, strict=False):
     """Encode one RawRecord to (41-vector, class id).
 
-    Continuous fields are parsed as reals. Symbolic fields are replaced by
+    Continuous fields are parsed as finite reals; nan, inf and values that
+    overflow to inf raise NumericParseError. Symbolic fields are replaced by
     their code-map integers; an unseen symbol raises UnknownSymbolError in
     strict mode and is otherwise assigned the next free code, recorded in
     the schema so the same symbol encodes identically from then on.
     """
-    vec = np.empty(N_FEATURES, dtype=np.float64)
+    values = []
     for i, d in enumerate(schema.descriptors):
         field = raw.features[i]
         if d.kind == CONTINUOUS:
             try:
-                vec[i] = float(field)
+                values.append(float(field))
             except ValueError:
                 raise NumericParseError(
                     f"feature {d.name!r}: {field!r} is not a number"
@@ -96,7 +98,15 @@ def encode_record(raw, schema, taxonomy, strict=False):
                         f"feature {d.name!r}: unknown symbol {field!r}"
                     )
                 code = schema.assign_code(i, field)
-            vec[i] = float(code)
+            values.append(code)
+    vec = np.array(values, dtype=np.float64)
+    # sum() is non-finite whenever a value is, and cheaper than a numpy test;
+    # finite values can overflow it too, so the exact test has the last word
+    if not math.isfinite(sum(values)):
+        bad = np.flatnonzero(~np.isfinite(vec))
+        if bad.size:
+            d, field = schema.descriptors[bad[0]], raw.features[bad[0]]
+            raise NumericParseError(f"feature {d.name!r}: {field!r} is not finite")
     return vec, map_attack(raw.label, taxonomy)
 
 

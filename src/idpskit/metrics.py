@@ -55,10 +55,14 @@ def roc(scores, positives) -> RocCurve:
     Samples with equal scores change state together, giving the standard
     staircase with diagonal segments through tied blocks. The curve starts
     at (0, 0) with an above-max sentinel threshold and ends at (1, 1).
+    Scores must be finite (ValueError otherwise): NaN has no place in the
+    descending order.
     """
     scores = np.asarray(scores, dtype=np.float64)
     positives = np.asarray(positives, dtype=bool)
     check_consistent_length(scores, positives)
+    if not np.isfinite(scores).all():
+        raise ValueError("ROC scores must be finite")
     n_pos = int(positives.sum())
     n_neg = len(positives) - n_pos
     if n_pos == 0 or n_neg == 0:

@@ -7,6 +7,7 @@ format-version guard.
 """
 
 import hashlib
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ModelFormatError
-from .fixedpoint import FixedFormat, QNetwork
+from .fixedpoint import LUT_SIZE, FixedFormat, QNetwork
 from .mlp import Network, NetworkLayout
 from .preprocessing import RangeScaler
 from .schema import AttackTaxonomy
@@ -62,13 +63,6 @@ def _floats(values):
     return " ".join(repr(float(v)) for v in values)
 
 
-def _parse_floats(line, n, what):
-    parts = line.split()
-    if len(parts) != n:
-        raise ModelFormatError(f"{what}: expected {n} values, got {len(parts)}")
-    return np.array([float(p) for p in parts], dtype=np.float64)
-
-
 def format_model(bundle: ModelBundle) -> str:
     net = bundle.network
     lines = [MODEL_MAGIC]
@@ -91,62 +85,91 @@ def format_model(bundle: ModelBundle) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_model(text: str) -> ModelBundle:
-    lines = text.splitlines()
-    if not lines or lines[0] != MODEL_MAGIC:
-        raise ModelFormatError(
-            f"not a {MODEL_MAGIC} file (header {lines[0][:40]!r})" if lines
-            else "empty model file"
-        )
-    pos = 1
+class _Cursor:
+    """A model file's lines after its version guard, read in order."""
 
-    def next_line(prefix):
-        nonlocal pos
-        if pos >= len(lines):
+    def __init__(self, text: str, magic: str):
+        self.lines = text.splitlines()
+        if not self.lines or self.lines[0] != magic:
+            raise ModelFormatError(
+                f"not a {magic} file (header {self.lines[0][:40]!r})" if self.lines
+                else "empty model file"
+            )
+        self.pos = 1
+
+    def take(self, prefix: str) -> str:
+        """The next line, less prefix, which it must start with."""
+        if self.pos >= len(self.lines):
             raise ModelFormatError(f"unexpected end of file, wanted {prefix!r}")
-        line = lines[pos]
-        pos += 1
+        line = self.lines[self.pos]
+        self.pos += 1
         if not line.startswith(prefix):
             raise ModelFormatError(f"expected {prefix!r}, got {line[:40]!r}")
         return line[len(prefix):].strip()
 
-    sizes = [int(s) for s in next_line("layout").split()]
-    if len(sizes) < 3:
-        raise ModelFormatError("layout needs input, hidden, output sizes")
-    layout = NetworkLayout(sizes[0], tuple(sizes[1:-1]), sizes[-1])
-    if next_line("hidden_activation") != "tanh":
-        raise ModelFormatError("unsupported hidden activation")
-    if next_line("output_activation") != "softmax":
-        raise ModelFormatError("unsupported output activation")
-    seed = int(next_line("seed"))
-    scaler = RangeScaler()
-    scaler.min_ = _parse_floats(next_line("scaler_min"), sizes[0], "scaler_min")
-    scaler.max_ = _parse_floats(next_line("scaler_max"), sizes[0], "scaler_max")
-    n_taxo = int(next_line("taxonomy"))
-    class_of = {}
-    for _ in range(n_taxo):
-        if pos >= len(lines):
-            raise ModelFormatError("truncated taxonomy block")
-        name, _, cid = lines[pos].partition(" ")
-        pos += 1
-        class_of[name] = int(cid)
-    taxonomy = AttackTaxonomy(class_of)
+    def numbers(self, prefix: str, n, kind, what: str) -> list:
+        """The next line's n values (any count if n is None) as int or finite float."""
+        parts = self.take(prefix).split()
+        if n is not None and len(parts) != n:
+            raise ModelFormatError(f"{what}: expected {n} values, got {len(parts)}")
+        try:
+            values = [kind(p) for p in parts]
+        except ValueError:
+            raise ModelFormatError(f"{what}: bad {kind.__name__} value") from None
+        if kind is float and not all(map(math.isfinite, values)):
+            raise ModelFormatError(f"{what}: non-finite value")
+        return values
+
+
+def _layout(cursor: _Cursor) -> tuple:
+    sizes = tuple(cursor.numbers("layout", None, int, "layout"))
+    if len(sizes) < 3 or min(sizes) < 1:
+        raise ModelFormatError("layout needs positive input, hidden and output sizes")
+    return sizes
+
+
+def _layers(cursor: _Cursor, sizes: tuple, kind) -> tuple:
+    """Each layer's weight rows and bias as lists of kind, then the end marker.
+
+    Every layer header must match the layout: index, fan-out, fan-in.
+    """
     weights, biases = [], []
-    for l in range(len(sizes) - 1):
-        head = next_line("layer").split()
-        if len(head) != 3 or int(head[0]) != l:
-            raise ModelFormatError(f"bad layer header at layer {l}")
-        fan_out, fan_in = int(head[1]), int(head[2])
-        W = np.empty((fan_out, fan_in))
-        for r in range(fan_out):
-            W[r] = _parse_floats(next_line("w"), fan_in, f"layer {l} row {r}")
-        b = _parse_floats(next_line("b"), fan_out, f"layer {l} bias")
-        weights.append(W)
-        biases.append(b)
-    if next_line("end") != "":
+    for l, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
+        head = cursor.take("layer")
+        if head.split() != [str(l), str(fan_out), str(fan_in)]:
+            raise ModelFormatError(
+                f"layer {l}: header {head!r} does not match the layout")
+        weights.append([cursor.numbers("w", fan_in, kind, f"layer {l} row {r}")
+                        for r in range(fan_out)])
+        biases.append(cursor.numbers("b", fan_out, kind, f"layer {l} bias"))
+    if cursor.take("end"):
         raise ModelFormatError("trailing content after end marker")
-    net = Network(weights=weights, biases=biases, layout=layout)
-    return ModelBundle(network=net, scaler=scaler, taxonomy=taxonomy, seed=seed)
+    return weights, biases
+
+
+def parse_model(text: str) -> ModelBundle:
+    cursor = _Cursor(text, MODEL_MAGIC)
+    sizes = _layout(cursor)
+    if cursor.take("hidden_activation") != "tanh":
+        raise ModelFormatError("unsupported hidden activation")
+    if cursor.take("output_activation") != "softmax":
+        raise ModelFormatError("unsupported output activation")
+    seed = cursor.numbers("seed", 1, int, "seed")[0]
+    scaler = RangeScaler()
+    scaler.min_ = np.array(cursor.numbers("scaler_min", sizes[0], float, "scaler_min"))
+    scaler.max_ = np.array(cursor.numbers("scaler_max", sizes[0], float, "scaler_max"))
+    class_of = {}
+    for _ in range(cursor.numbers("taxonomy", 1, int, "taxonomy")[0]):
+        name, _, cid = cursor.take("").partition(" ")
+        if not cid.isdecimal():
+            raise ModelFormatError(f"bad taxonomy entry {name!r}")
+        class_of[name] = int(cid)
+    weights, biases = _layers(cursor, sizes, float)
+    net = Network(weights=[np.array(W) for W in weights],
+                  biases=[np.array(b) for b in biases],
+                  layout=NetworkLayout(sizes[0], sizes[1:-1], sizes[-1]))
+    return ModelBundle(network=net, scaler=scaler,
+                       taxonomy=AttackTaxonomy(class_of), seed=seed)
 
 
 def save_model(bundle: ModelBundle, path) -> None:
@@ -175,49 +198,18 @@ def format_qmodel(qnet: QNetwork) -> str:
 
 
 def parse_qmodel(text: str) -> QNetwork:
-    lines = text.splitlines()
-    if not lines or lines[0] != QMODEL_MAGIC:
-        raise ModelFormatError(f"not a {QMODEL_MAGIC} file")
-    pos = 1
-
-    def next_line(prefix):
-        nonlocal pos
-        if pos >= len(lines):
-            raise ModelFormatError(f"unexpected end of file, wanted {prefix!r}")
-        line = lines[pos]
-        pos += 1
-        if not line.startswith(prefix):
-            raise ModelFormatError(f"expected {prefix!r}, got {line[:40]!r}")
-        return line[len(prefix):].strip()
-
-    total_bits, frac_bits = (int(v) for v in next_line("format").split())
+    cursor = _Cursor(text, QMODEL_MAGIC)
+    total_bits, frac_bits = cursor.numbers("format", 2, int, "format")
     fmt = FixedFormat(total_bits=total_bits, frac_bits=frac_bits)
-    checksum = next_line("source_checksum")
-    checksum = "" if checksum == "-" else checksum
-    sizes = tuple(int(s) for s in next_line("layout").split())
-    n_lut = int(next_line("lut"))
-    if pos >= len(lines):
-        raise ModelFormatError("missing LUT data")
-    lut = [int(v) for v in lines[pos].split()]
-    pos += 1
-    if len(lut) != n_lut:
-        raise ModelFormatError(f"LUT has {len(lut)} entries, header says {n_lut}")
-    weights, biases = [], []
-    for l in range(len(sizes) - 1):
-        head = next_line("layer").split()
-        fan_out, fan_in = int(head[1]), int(head[2])
-        rows = []
-        for _ in range(fan_out):
-            row = [int(v) for v in next_line("w").split()]
-            if len(row) != fan_in:
-                raise ModelFormatError(f"layer {l}: bad row width")
-            rows.append(row)
-        bias = [int(v) for v in next_line("b").split()]
-        weights.append(rows)
-        biases.append(bias)
-    next_line("end")
+    checksum = cursor.take("source_checksum")
+    sizes = _layout(cursor)
+    if cursor.numbers("lut", 1, int, "lut size") != [LUT_SIZE]:
+        raise ModelFormatError(f"the tanh LUT must have {LUT_SIZE} entries")
+    lut = cursor.numbers("", LUT_SIZE, int, "lut")
+    weights, biases = _layers(cursor, sizes, int)
     return QNetwork(weights=weights, biases=biases, tanh_lut=lut, format=fmt,
-                    layer_sizes=sizes, source_checksum=checksum)
+                    layer_sizes=sizes,
+                    source_checksum="" if checksum == "-" else checksum)
 
 
 def save_qmodel(qnet: QNetwork, path) -> None:

@@ -17,7 +17,7 @@ def check_feature_array(X, n_features=None, name="X"):
         raise ValueError(
             f"{name} has {X.shape[1]} features, expected {n_features}"
         )
-    if not np.all(np.isfinite(X)):
+    if not np.isfinite(X).all():
         raise ValueError(f"{name} contains non-finite values")
     return X
 

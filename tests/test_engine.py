@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from idpskit import engine
 from idpskit.engine import (
     ALERT,
     ALLOW,
@@ -11,11 +14,12 @@ from idpskit.engine import (
     default_policy,
     process_stream,
 )
+from idpskit.ingest import map_attack
 from idpskit.metrics import alarm_tally
 from idpskit.mlp import NetworkLayout, init_network
 from idpskit.model_io import ModelBundle
 from idpskit.preprocessing import RangeScaler
-from idpskit.schema import default_schema, default_taxonomy
+from idpskit.schema import CONTINUOUS, default_schema, default_taxonomy
 
 
 def normal_predicting_bundle():
@@ -77,7 +81,6 @@ class TestProcessStream:
         verdicts = list(process_stream(lines, bundle, schema_with_codes()))
         assert [v.action for v in verdicts] == [ALLOW] * 3
         assert [v.record_index for v in verdicts] == [0, 1, 2]
-        assert [v.timestamp for v in verdicts] == [0, 1, 2]
         assert all(v.predicted == 0 for v in verdicts)
         assert all(len(v.scores) == 6 for v in verdicts)
 
@@ -98,6 +101,34 @@ class TestProcessStream:
         verdicts = list(process_stream(lines, bundle, schema_with_codes()))
         assert verdicts[0].action == ALERT
         assert verdicts[0].error is not None
+
+    @pytest.mark.parametrize("line,error", [
+        ("garbage,line", "expected 41 or 42 fields, got 2"),
+        (labeled_line() + ",extra", "expected 41 or 42 fields, got 43"),
+        (labeled_line(label=""), "record has an empty label"),
+    ])
+    def test_malformed_line_error_text(self, line, error):
+        verdict, = process_stream([line], normal_predicting_bundle(),
+                                  schema_with_codes())
+        assert (verdict.predicted, verdict.action) == (-1, ALERT)
+        assert verdict.error == error
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_value_degrades_to_alert(self, value):
+        line = ",".join(["0", "tcp", "http", "SF", value] + ["0"] * 36)
+        verdict, = process_stream([line + ",normal."], normal_predicting_bundle(),
+                                  schema_with_codes())
+        assert (verdict.predicted, verdict.action) == (-1, ALERT)
+        assert "not finite" in verdict.error
+
+    def test_program_errors_propagate(self, monkeypatch):
+        def broken_forward(net, x):
+            raise ValueError("a bug, not bad input")
+
+        monkeypatch.setattr(engine, "forward", broken_forward)
+        with pytest.raises(ValueError, match="a bug"):
+            list(process_stream([labeled_line()], normal_predicting_bundle(),
+                                schema_with_codes()))
 
     def test_unlabeled_lines_have_no_actual(self):
         bundle = normal_predicting_bundle()
@@ -144,3 +175,43 @@ class TestProcessStream:
         text = summary.render()
         assert "records 1" in text
         assert "allow 1" in text
+
+
+def random_bundle(seed):
+    """A random network over a wide scaler, so scores differ per record."""
+    bundle = normal_predicting_bundle()
+    bundle.network = init_network(NetworkLayout(41, (5,), 6), seed=seed)
+    bundle.scaler.max_ = np.full(41, 100.0)
+    return bundle
+
+
+def twin_fields():
+    """41 feature texts the codes of schema_with_codes can encode."""
+    schema = schema_with_codes()
+    return st.tuples(*(
+        st.floats(-10.0, 200.0).map(repr) if d.kind == CONTINUOUS
+        else st.sampled_from(sorted(d.code_map))
+        for d in schema.descriptors
+    ))
+
+
+class TestLabelsNeverDecide:
+    @given(
+        fields=twin_fields(),
+        name=st.sampled_from(["normal", "smurf", "SATAN", " perl ", "zzz_unknown"]),
+        dot=st.sampled_from(["", "."]),
+        seed=st.integers(0, 20),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_labeled_line_decides_like_its_unlabeled_twin(self, fields, name,
+                                                          dot, seed):
+        unlabeled = ",".join(fields)
+        labeled_v, unlabeled_v = process_stream(
+            [f"{unlabeled},{name}{dot}", unlabeled], random_bundle(seed),
+            schema_with_codes())
+        assert labeled_v.error is None and unlabeled_v.error is None
+        assert labeled_v.predicted == unlabeled_v.predicted
+        assert labeled_v.action == unlabeled_v.action
+        assert labeled_v.scores == unlabeled_v.scores
+        assert labeled_v.actual == map_attack(name, default_taxonomy())
+        assert unlabeled_v.actual is None

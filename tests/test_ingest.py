@@ -160,6 +160,19 @@ class TestEncodeRecord:
         with pytest.raises(UnknownSymbolError):
             encode_record(rec, schema, taxonomy, strict=True)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_value(self, value):
+        schema, taxonomy = default_schema(), default_taxonomy()
+        line = "0,tcp,http,SF," + ",".join([value] + ["0"] * 36) + ",normal."
+        with pytest.raises(NumericParseError, match="src_bytes"):
+            encode_record(parse_record(line), schema, taxonomy)
+
+    def test_finite_values_that_overflow_a_sum_pass(self):
+        schema, taxonomy = default_schema(), default_taxonomy()
+        line = "0,tcp,http,SF," + ",".join(["1.7e308"] * 2 + ["0"] * 35) + ",normal."
+        vec, _ = encode_record(parse_record(line), schema, taxonomy)
+        assert vec[4] == vec[5] == 1.7e308
+
     def test_numeric_parse_error(self):
         schema, taxonomy = default_schema(), default_taxonomy()
         line = "abc,tcp," + ",".join(["a", "b"] + ["0"] * 37) + ",normal."

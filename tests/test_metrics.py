@@ -158,6 +158,11 @@ class TestRoc:
         with pytest.raises(DegenerateClassError):
             roc([0.1, 0.2], [False, False])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_scores_raise(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            roc([0.2, bad, 0.5], [True, False, False])
+
     @given(
         n=st.integers(min_value=2, max_value=100),
         seed=st.integers(min_value=0, max_value=10_000),

@@ -98,6 +98,91 @@ class TestQModelRoundTrip:
             parse_qmodel("not-a-qmodel\n")
 
 
+def small_texts():
+    """Model and qmodel text of one small 4-3-2 network."""
+    net = init_network(NetworkLayout(4, (3,), 2), seed=4)
+    scaler = RangeScaler().fit(np.random.default_rng(4).uniform(0, 5, (6, 4)))
+    bundle = ModelBundle(network=net, scaler=scaler,
+                         taxonomy=default_taxonomy(), seed=4)
+    return {"model": format_model(bundle),
+            "qmodel": format_qmodel(quantize_network(net, FixedFormat(16, 12)))}
+
+
+TEXTS = small_texts()
+PARSE = {"model": parse_model, "qmodel": parse_qmodel}
+
+
+def edit(text, prefix, new):
+    """Replace the first line that starts with prefix by new."""
+    lines = text.splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+    lines[i] = new
+    return "\n".join(lines) + "\n"
+
+
+class TestModelValidation:
+    @pytest.mark.parametrize("kind,k", [
+        (kind, k) for kind, text in TEXTS.items()
+        for k in range(len(text.splitlines()))
+    ])
+    def test_every_line_prefix_truncation_is_rejected(self, kind, k):
+        lines = TEXTS[kind].splitlines()
+        with pytest.raises(ModelFormatError):
+            PARSE[kind]("\n".join(lines[:k]) + "\n")
+
+    @pytest.mark.parametrize("kind", ["model", "qmodel"])
+    def test_untouched_texts_parse(self, kind):
+        PARSE[kind](TEXTS[kind])
+
+    @pytest.mark.parametrize("kind,bias", [("model", "b 0.5"), ("qmodel", "b 7")])
+    def test_bias_width(self, kind, bias):
+        with pytest.raises(ModelFormatError, match="layer 0 bias"):
+            PARSE[kind](edit(TEXTS[kind], "b ", bias))
+
+    @pytest.mark.parametrize("kind", ["model", "qmodel"])
+    @pytest.mark.parametrize("prefix,new", [
+        ("layout", "layout 4 5 2"),
+        ("layout", "layout 4 3 3 2"),
+        ("layer 0", "layer 1 3 4"),
+        ("layer 0", "layer 0 3 5"),
+        ("layer 1", "layer 1 3 3"),
+    ])
+    def test_layer_headers_must_match_layout(self, kind, prefix, new):
+        with pytest.raises(ModelFormatError, match="header"):
+            PARSE[kind](edit(TEXTS[kind], prefix, new))
+
+    @pytest.mark.parametrize("kind", ["model", "qmodel"])
+    @pytest.mark.parametrize("layout", ["layout", "layout 4 2", "layout 4 0 2",
+                                        "layout 4 x 2"])
+    def test_bad_layout(self, kind, layout):
+        with pytest.raises(ModelFormatError, match="layout"):
+            PARSE[kind](edit(TEXTS[kind], "layout", layout))
+
+    @pytest.mark.parametrize("kind,token", [
+        ("model", "abc"), ("model", "nan"), ("model", "inf"), ("model", "-inf"),
+        ("model", "1e400"), ("qmodel", "abc"), ("qmodel", "1.5"),
+        ("qmodel", "nan"),
+    ])
+    def test_bad_parameter_token(self, kind, token):
+        first_w = next(line for line in TEXTS[kind].splitlines()
+                       if line.startswith("w "))
+        text = edit(TEXTS[kind], "w ", " ".join(["w", token] + first_w.split()[2:]))
+        with pytest.raises(ModelFormatError, match="layer 0 row 0"):
+            PARSE[kind](text)
+
+    def test_bad_scaler_token(self):
+        with pytest.raises(ModelFormatError, match="scaler_max"):
+            parse_model(edit(TEXTS["model"], "scaler_max",
+                             "scaler_max 1.0 nan 2.0 3.0"))
+
+    def test_lut_must_have_256_entries(self):
+        lines = TEXTS["qmodel"].splitlines()
+        i = lines.index("lut 256")
+        lines[i:i + 2] = ["lut 255", " ".join(lines[i + 1].split()[:255])]
+        with pytest.raises(ModelFormatError, match="256"):
+            parse_qmodel("\n".join(lines) + "\n")
+
+
 class TestWriteAtomic:
     @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600),
                                             (0o002, 0o664)])
