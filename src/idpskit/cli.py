@@ -145,7 +145,22 @@ def cmd_prep(args) -> int:
     return 0
 
 
+def _progress_printer(every, patience):
+    """An on_epoch callback that writes a stderr line every `every` epochs."""
+    if every is None:
+        return None
+    if every < 1:
+        raise ValueError(f"--progress must be a positive epoch count, got {every}")
+
+    def report(epoch, train_mse, val_mse, failures):
+        if epoch % every == 0:
+            print(f"epoch {epoch} train_mse {train_mse:.6f} val_mse {val_mse:.6f} "
+                  f"failures {failures}/{patience}", file=sys.stderr, flush=True)
+    return report
+
+
 def cmd_train(args) -> int:
+    progress = _progress_printer(args.progress, args.patience)
     train_path = os.path.join(args.data, "train.csv")
     val_path = os.path.join(args.data, "val.csv")
     taxo_path = os.path.join(args.data, "taxonomy.txt")
@@ -163,7 +178,7 @@ def cmd_train(args) -> int:
     layout = NetworkLayout(train_p.X.shape[1], _parse_hidden(args.hidden),
                            N_CLASSES)
     net0 = init_network(layout, cfg.seed)
-    net, history = train_network(net0, train_s, val_s, cfg)
+    net, history = train_network(net0, train_s, val_s, cfg, progress)
     bundle = ModelBundle(network=net, scaler=scaler, taxonomy=taxonomy,
                          seed=cfg.seed)
     out_dir = args.out or os.path.dirname(os.path.abspath(args.model))
@@ -395,6 +410,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-epochs", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--batch-size", type=int, default=None)
+    p.add_argument("--progress", type=int, metavar="N",
+                   help="print losses and validation failures to stderr "
+                        "every N epochs")
     _add_common(p)
 
     p = sub.add_parser("eval", help="evaluate a model on all partitions")

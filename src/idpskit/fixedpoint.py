@@ -17,6 +17,7 @@ from .mlp import Network
 
 LUT_SIZE = 256
 LUT_LO = -4.0  # table spans [-4, 4) in steps of 1/32, zero exactly at entry 128
+MIN_FRAC_BITS = 5  # the 1/32 = 2**-5 table grid must be a whole number of raw units
 
 
 @dataclass(frozen=True)
@@ -111,10 +112,11 @@ def quantize_network(net: Network, f: FixedFormat,
     """Convert every weight and bias to fixed point and build the tanh LUT.
 
     Raises RangeExceededError naming the first layer whose parameters do
-    not fit the format. Interpolation indexing needs frac_bits >= 5.
+    not fit the format. Interpolation indexing needs frac_bits >=
+    MIN_FRAC_BITS.
     """
-    if f.frac_bits < 5:
-        raise ValueError("LUT interpolation requires frac_bits >= 5")
+    if f.frac_bits < MIN_FRAC_BITS:
+        raise ValueError(f"LUT interpolation requires frac_bits >= {MIN_FRAC_BITS}")
     q_weights, q_biases = [], []
     for l, (W, b) in enumerate(zip(net.weights, net.biases)):
         max_abs = float(max(np.abs(W).max(), np.abs(b).max()))
@@ -138,7 +140,7 @@ def quantize_network(net: Network, f: FixedFormat,
 
 def lut_tanh(v: int, lut: list, f: FixedFormat) -> int:
     """Table tanh with linear interpolation; clamps beyond the table ends."""
-    step = 1 << (f.frac_bits - 5)  # grid spacing 1/32 in raw units
+    step = 1 << (f.frac_bits - MIN_FRAC_BITS)  # grid spacing 1/32 in raw units
     lo = -(4 << f.frac_bits)
     hi = lo + (LUT_SIZE - 1) * step
     if v <= lo:
@@ -206,7 +208,7 @@ def _div_round_even_array(num, den: int):
 
 def _lut_tanh_array(v: np.ndarray, lut: np.ndarray, f: FixedFormat):
     """Elementwise lut_tanh of saturated int64 words."""
-    step = 1 << (f.frac_bits - 5)
+    step = 1 << (f.frac_bits - MIN_FRAC_BITS)
     lo = -(4 << f.frac_bits)
     hi = lo + (LUT_SIZE - 1) * step
     u = np.clip(v, lo, hi - 1) - lo

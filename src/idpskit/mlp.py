@@ -57,6 +57,12 @@ class Network:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Training hyperparameters.
+
+    seed is carried only for the model file and the run manifest:
+    init_network takes its seed explicitly, and train() never reads it.
+    """
+
     max_epochs: int = 1000
     patience: int = 6
     goal_mse: float = 0.01
@@ -137,10 +143,12 @@ def loss_mse(outputs, targets) -> float:
     return float(np.mean((outputs - targets) ** 2))
 
 
-def _batch_gradients(net: Network, X: np.ndarray, T: np.ndarray):
-    """Exact gradients of loss_mse(forward(X), T) w.r.t. weights and biases."""
+def _batch_gradients(net: Network, activations: list, T: np.ndarray):
+    """Exact gradients of loss_mse(forward(X), T) w.r.t. weights and biases.
+
+    activations is _forward_all(net, X) at the current weights.
+    """
     n, k = T.shape
-    activations = _forward_all(net, X)
     y = activations[-1]
     # d loss / d softmax-input, through the softmax Jacobian
     e = 2.0 * (y - T) / (n * k)
@@ -161,7 +169,7 @@ def backward(net: Network, x, target):
     """Per-sample gradients: (dW list, db list) for one (input, target) pair."""
     X = check_feature_array(x, n_features=net.layout.input_size)
     T = np.asarray(target, dtype=np.float64).reshape(1, -1)
-    return _batch_gradients(net, X, T)
+    return _batch_gradients(net, _forward_all(net, X), T)
 
 
 class PatienceTracker:
@@ -196,12 +204,19 @@ def _epoch_batches(n: int, batch_size):
     return [slice(i, min(i + batch_size, n)) for i in range(0, n, batch_size)]
 
 
-def train(net: Network, train_set, val_set, cfg: TrainConfig):
+def train(net: Network, train_set, val_set, cfg: TrainConfig, on_epoch=None):
     """Gradient-descent training with momentum and early stopping.
 
     train_set and val_set are (X, y) pairs or Dataset-like objects with
     .X/.y, already scaled. Returns (best network, TrainHistory); the
     returned network carries the weights of the best validation epoch.
+    on_epoch, if given, is called after every epoch as
+    on_epoch(epoch, train_mse, val_mse, failures).
+
+    Full batch, the forward pass that gives an epoch's train loss is also
+    the next epoch's gradient pass, so each epoch makes one forward pass
+    over the training rows. Mini-batch epochs make one per slice plus the
+    loss pass.
     """
     Xtr, ytr = _as_xy(train_set)
     Xva, yva = _as_xy(val_set)
@@ -218,17 +233,24 @@ def train(net: Network, train_set, val_set, cfg: TrainConfig):
     tracker = PatienceTracker(cfg.patience)
     best_net = net.copy()
     batches = _epoch_batches(len(Xtr), cfg.batch_size)
+    full_batch = len(batches) == 1
+    acts = _forward_all(net, Xtr) if full_batch else None
 
     for epoch in range(1, cfg.max_epochs + 1):
         for sl in batches:
-            dws, dbs = _batch_gradients(net, Xtr[sl], Ttr[sl])
+            dws, dbs = _batch_gradients(
+                net, acts if full_batch else _forward_all(net, Xtr[sl]), Ttr[sl])
             for l in range(net.n_layers):
                 vel_w[l] = cfg.momentum * vel_w[l] - cfg.learning_rate * dws[l]
                 vel_b[l] = cfg.momentum * vel_b[l] - cfg.learning_rate * dbs[l]
                 net.weights[l] += vel_w[l]
                 net.biases[l] += vel_b[l]
 
-        train_mse = loss_mse(_forward_all(net, Xtr)[-1], Ttr)
+        acts = None  # release the pre-update activations before the new pass
+        acts = _forward_all(net, Xtr)
+        train_mse = loss_mse(acts[-1], Ttr)
+        if not full_batch:
+            acts = None
         val_mse = loss_mse(_forward_all(net, Xva)[-1], Tva)
         if not (np.isfinite(train_mse) and np.isfinite(val_mse)):
             raise TrainingDivergedError(
@@ -239,6 +261,8 @@ def train(net: Network, train_set, val_set, cfg: TrainConfig):
         history.val_mse.append(val_mse)
 
         exhausted = tracker.update(epoch, val_mse)
+        if on_epoch is not None:
+            on_epoch(epoch, train_mse, val_mse, tracker.failures)
         if tracker.best_epoch == epoch:
             best_net = net.copy()
         if train_mse <= cfg.goal_mse:

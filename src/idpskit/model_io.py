@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ModelFormatError
-from .fixedpoint import LUT_SIZE, FixedFormat, QNetwork
+from .fixedpoint import LUT_SIZE, MIN_FRAC_BITS, FixedFormat, QNetwork
 from .mlp import Network, NetworkLayout
 from .preprocessing import RangeScaler
 from .schema import AttackTaxonomy
@@ -107,8 +107,11 @@ class _Cursor:
             raise ModelFormatError(f"expected {prefix!r}, got {line[:40]!r}")
         return line[len(prefix):].strip()
 
-    def numbers(self, prefix: str, n, kind, what: str) -> list:
-        """The next line's n values (any count if n is None) as int or finite float."""
+    def numbers(self, prefix: str, n, kind, what: str, fmt=None) -> list:
+        """The next line's n values (any count if n is None) as int or finite float.
+
+        Given a FixedFormat, every value must also fit its word range.
+        """
         parts = self.take(prefix).split()
         if n is not None and len(parts) != n:
             raise ModelFormatError(f"{what}: expected {n} values, got {len(parts)}")
@@ -118,6 +121,9 @@ class _Cursor:
             raise ModelFormatError(f"{what}: bad {kind.__name__} value") from None
         if kind is float and not all(map(math.isfinite, values)):
             raise ModelFormatError(f"{what}: non-finite value")
+        if fmt is not None and not all(fmt.min_int <= v <= fmt.max_int for v in values):
+            raise ModelFormatError(f"{what}: value outside the {fmt} word range "
+                                   f"[{fmt.min_int}, {fmt.max_int}]")
         return values
 
 
@@ -128,10 +134,11 @@ def _layout(cursor: _Cursor) -> tuple:
     return sizes
 
 
-def _layers(cursor: _Cursor, sizes: tuple, kind) -> tuple:
+def _layers(cursor: _Cursor, sizes: tuple, kind, fmt=None) -> tuple:
     """Each layer's weight rows and bias as lists of kind, then the end marker.
 
     Every layer header must match the layout: index, fan-out, fan-in.
+    Given a FixedFormat, every value must fit its word range.
     """
     weights, biases = [], []
     for l, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
@@ -139,9 +146,9 @@ def _layers(cursor: _Cursor, sizes: tuple, kind) -> tuple:
         if head.split() != [str(l), str(fan_out), str(fan_in)]:
             raise ModelFormatError(
                 f"layer {l}: header {head!r} does not match the layout")
-        weights.append([cursor.numbers("w", fan_in, kind, f"layer {l} row {r}")
+        weights.append([cursor.numbers("w", fan_in, kind, f"layer {l} row {r}", fmt)
                         for r in range(fan_out)])
-        biases.append(cursor.numbers("b", fan_out, kind, f"layer {l} bias"))
+        biases.append(cursor.numbers("b", fan_out, kind, f"layer {l} bias", fmt))
     if cursor.take("end"):
         raise ModelFormatError("trailing content after end marker")
     return weights, biases
@@ -200,13 +207,19 @@ def format_qmodel(qnet: QNetwork) -> str:
 def parse_qmodel(text: str) -> QNetwork:
     cursor = _Cursor(text, QMODEL_MAGIC)
     total_bits, frac_bits = cursor.numbers("format", 2, int, "format")
-    fmt = FixedFormat(total_bits=total_bits, frac_bits=frac_bits)
+    try:
+        fmt = FixedFormat(total_bits=total_bits, frac_bits=frac_bits)
+    except ValueError as exc:
+        raise ModelFormatError(f"format: {exc}") from None
+    if frac_bits < MIN_FRAC_BITS:
+        raise ModelFormatError(f"format {fmt} has fewer than {MIN_FRAC_BITS} "
+                               "fractional bits, which LUT interpolation needs")
     checksum = cursor.take("source_checksum")
     sizes = _layout(cursor)
     if cursor.numbers("lut", 1, int, "lut size") != [LUT_SIZE]:
         raise ModelFormatError(f"the tanh LUT must have {LUT_SIZE} entries")
-    lut = cursor.numbers("", LUT_SIZE, int, "lut")
-    weights, biases = _layers(cursor, sizes, int)
+    lut = cursor.numbers("", LUT_SIZE, int, "lut", fmt)
+    weights, biases = _layers(cursor, sizes, int, fmt)
     return QNetwork(weights=weights, biases=biases, tanh_lut=lut, format=fmt,
                     layer_sizes=sizes,
                     source_checksum="" if checksum == "-" else checksum)

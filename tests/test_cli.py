@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -258,6 +259,23 @@ class TestQuantizeCompareDetect:
         summary = (cout / "agreement_summary.txt").read_text()
         assert "agreement" in summary
 
+    def test_compare_out_of_range_qmodel_fails_cleanly(self, pipeline, tmp_path,
+                                                       capsys):
+        qout = tmp_path / "q"
+        assert run_cli("quantize", "--model", pipeline["model"],
+                       "--out", qout) == 0
+        qmodel = qout / "qmodel.txt"
+        lines = qmodel.read_text().splitlines()
+        i = next(i for i, line in enumerate(lines) if line.startswith("w "))
+        lines[i] = " ".join(["w", str(10**30)] + lines[i].split()[2:])
+        qmodel.write_text("\n".join(lines) + "\n")
+        rc = run_cli("compare", "--data", pipeline["prep"],
+                     "--model", pipeline["model"], "--qmodel", qmodel,
+                     "--out", tmp_path / "cmp")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error in compare" in err and "layer 0 row 0" in err
+
     def test_detect_stream(self, pipeline, tmp_path, capsys):
         out = tmp_path / "det"
         rc = run_cli("detect", "--data", pipeline["corpus"],
@@ -283,6 +301,42 @@ class TestQuantizeCompareDetect:
                      "--schema", pipeline["prep"] / "schema.txt")
         assert rc == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 5
+
+
+class TestTrainProgress:
+    def _train(self, pipeline, out, *extra):
+        return run_cli("train", "--data", pipeline["prep"],
+                       "--model", out / "model.txt", "--out", out,
+                       "--max-epochs", "60", "--seed", "3", *extra)
+
+    def test_progress_lines_leave_outputs_unchanged(self, pipeline, tmp_path,
+                                                    capsys):
+        assert self._train(pipeline, tmp_path / "quiet") == 0
+        quiet = capsys.readouterr()
+        assert quiet.err == ""
+        assert self._train(pipeline, tmp_path / "loud", "--progress", "25") == 0
+        loud = capsys.readouterr()
+        assert loud.out == quiet.out
+        for name in ("model.txt", "history.csv", "run_manifest.json"):
+            assert (tmp_path / "loud" / name).read_bytes() == \
+                (tmp_path / "quiet" / name).read_bytes()
+        history = (tmp_path / "loud" / "history.csv").read_text().splitlines()
+        expected = []
+        for epoch in (25, 50):
+            _, tm, vm = history[epoch].split(",")
+            expected.append(f"epoch {epoch} train_mse {float(tm):.6f} "
+                            f"val_mse {float(vm):.6f} failures ")
+        lines = loud.err.splitlines()
+        assert len(lines) == 2
+        for line, prefix in zip(lines, expected):
+            assert line.startswith(prefix)
+            assert re.fullmatch(r"\d+/6", line[len(prefix):])
+
+    @pytest.mark.parametrize("every", ["0", "-3"])
+    def test_progress_must_be_positive(self, pipeline, tmp_path, capsys, every):
+        assert self._train(pipeline, tmp_path, "--progress", every) == 2
+        assert "error in train: --progress" in capsys.readouterr().err
+        assert not (tmp_path / "model.txt").exists()
 
 
 class TestDeterminism:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,9 @@ from idpskit.mlp import (
     NetworkLayout,
     PatienceTracker,
     TrainConfig,
+    TrainHistory,
+    _batch_gradients,
+    _forward_all,
     backward,
     forward,
     init_network,
@@ -17,7 +22,7 @@ from idpskit.mlp import (
     predict_class,
     train,
 )
-from idpskit.preprocessing import one_hot
+from idpskit.preprocessing import one_hot, one_hot_matrix
 
 
 def make_net(sizes, seed=0):
@@ -298,6 +303,121 @@ def overfit_run():
     net = make_net([2, 6, 2], seed=0)
     fitted, history = train(net, (X, y), (Xv, yv), _overfit_config())
     return fitted, history, (Xv, yv)
+
+
+def two_pass_train(net, train_set, val_set, cfg):
+    """Reference for train(): the loop that runs every gradient forward pass.
+
+    Each batch gets its own forward pass, and each epoch then makes a
+    separate loss pass over the training rows with the updated weights.
+    """
+    Xtr, ytr = (np.asarray(a) for a in train_set)
+    Xva, yva = (np.asarray(a) for a in val_set)
+    k = net.layout.output_size
+    Ttr, Tva = one_hot_matrix(ytr, k), one_hot_matrix(yva, k)
+    net = net.copy()
+    vel_w = [np.zeros_like(w) for w in net.weights]
+    vel_b = [np.zeros_like(b) for b in net.biases]
+    history = TrainHistory()
+    tracker = PatienceTracker(cfg.patience)
+    best_net = net.copy()
+    n = len(Xtr)
+    size = n if cfg.batch_size is None else cfg.batch_size
+    batches = [slice(i, min(i + size, n)) for i in range(0, n, size)]
+    for epoch in range(1, cfg.max_epochs + 1):
+        for sl in batches:
+            dws, dbs = _batch_gradients(net, _forward_all(net, Xtr[sl]), Ttr[sl])
+            for l in range(net.n_layers):
+                vel_w[l] = cfg.momentum * vel_w[l] - cfg.learning_rate * dws[l]
+                vel_b[l] = cfg.momentum * vel_b[l] - cfg.learning_rate * dbs[l]
+                net.weights[l] += vel_w[l]
+                net.biases[l] += vel_b[l]
+        train_mse = loss_mse(_forward_all(net, Xtr)[-1], Ttr)
+        val_mse = loss_mse(_forward_all(net, Xva)[-1], Tva)
+        history.train_mse.append(train_mse)
+        history.val_mse.append(val_mse)
+        exhausted = tracker.update(epoch, val_mse)
+        if tracker.best_epoch == epoch:
+            best_net = net.copy()
+        if train_mse <= cfg.goal_mse:
+            history.stop_reason = "goal_reached"
+            break
+        if exhausted:
+            history.stop_reason = "patience_exhausted"
+            break
+    else:
+        history.stop_reason = "max_epochs"
+    history.best_epoch = tracker.best_epoch
+    return best_net, history
+
+
+def assert_train_matches_two_pass(net, train_set, val_set, cfg):
+    """train() and two_pass_train() agree bit for bit; returns the history."""
+    fitted, history = train(net, train_set, val_set, cfg)
+    ref_net, ref = two_pass_train(net, train_set, val_set, cfg)
+    assert repr(history.train_mse) == repr(ref.train_mse)
+    assert repr(history.val_mse) == repr(ref.val_mse)
+    assert (history.best_epoch, history.stop_reason) == (ref.best_epoch,
+                                                         ref.stop_reason)
+    for got, want in zip(fitted.weights + fitted.biases,
+                         ref_net.weights + ref_net.biases):
+        assert got.tobytes() == want.tobytes()
+    return history
+
+
+@st.composite
+def training_runs(draw):
+    n_in = draw(st.integers(1, 4))
+    hidden = draw(st.lists(st.integers(1, 4), min_size=1, max_size=2))
+    k = draw(st.integers(2, 4))
+    n = draw(st.integers(2, 12))
+    n_val = draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    train_set = (rng.uniform(0, 1, (n, n_in)), rng.integers(0, k, n))
+    val_set = (rng.uniform(0, 1, (n_val, n_in)), rng.integers(0, k, n_val))
+    cfg = TrainConfig(
+        max_epochs=draw(st.integers(1, 40)),
+        patience=draw(st.integers(1, 4)),
+        goal_mse=draw(st.sampled_from([0.0, 0.05, 0.1, 0.2])),
+        learning_rate=draw(st.sampled_from([0.05, 0.5, 2.0])),
+        momentum=draw(st.sampled_from([0.0, 0.5, 0.9])),
+        batch_size=draw(st.sampled_from([None, 1, 3, n - 1])),
+    )
+    return make_net([n_in, *hidden, k], seed), train_set, val_set, cfg
+
+
+class TestOnePassLoop:
+    """train() reuses each epoch's loss pass as the next gradient pass."""
+
+    @given(training_runs())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_two_pass_loop(self, run):
+        assert_train_matches_two_pass(*run)
+
+    @pytest.mark.parametrize("batch_size", [None, 1, 3, 15])
+    @pytest.mark.parametrize("stop,overrides", [
+        ("goal_reached", {"patience": 4000, "goal_mse": 0.05}),
+        ("patience_exhausted", {}),
+        ("max_epochs", {"max_epochs": 30, "patience": 30}),
+    ])
+    def test_every_stop_reason(self, batch_size, stop, overrides):
+        X, y, Xv, yv = _overfit_data()
+        cfg = replace(_overfit_config(), batch_size=batch_size, **overrides)
+        history = assert_train_matches_two_pass(make_net([2, 6, 2], seed=0),
+                                                (X, y), (Xv, yv), cfg)
+        assert history.stop_reason == stop
+
+    def test_on_epoch_sees_every_epoch(self, overfit_run):
+        _, history, _ = overfit_run
+        X, y, Xv, yv = _overfit_data()
+        calls = []
+        train(make_net([2, 6, 2], seed=0), (X, y), (Xv, yv), _overfit_config(),
+              on_epoch=lambda *args: calls.append(args))
+        assert [c[0] for c in calls] == list(range(1, history.n_epochs + 1))
+        assert [c[1] for c in calls] == history.train_mse
+        assert [c[2] for c in calls] == history.val_mse
+        assert calls[-1][3] == 6  # the stop came at the sixth failure
 
 
 class TestPatienceTracker:

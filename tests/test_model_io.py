@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from idpskit.exceptions import ModelFormatError
-from idpskit.fixedpoint import FixedFormat, quantize_network
+from idpskit.fixedpoint import (
+    MIN_FRAC_BITS,
+    FixedFormat,
+    q_predict_class,
+    quantize_network,
+)
 from idpskit.mlp import NetworkLayout, forward, init_network
 from idpskit.model_io import (
     ModelBundle,
@@ -181,6 +186,61 @@ class TestModelValidation:
         lines[i:i + 2] = ["lut 255", " ".join(lines[i + 1].split()[:255])]
         with pytest.raises(ModelFormatError, match="256"):
             parse_qmodel("\n".join(lines) + "\n")
+
+
+def set_value(text, prefix, value, nth=0):
+    """Set the first value of the nth 'w '/'b ' line, or of the LUT line."""
+    lines = text.splitlines()
+    if prefix == "lut":
+        i, head = lines.index("lut 256") + 1, 0
+    else:
+        i = [i for i, line in enumerate(lines) if line.startswith(prefix)][nth]
+        head = 1
+    parts = lines[i].split()
+    parts[head] = str(value)
+    lines[i] = " ".join(parts)
+    return "\n".join(lines) + "\n"
+
+
+class TestQModelWordRange:
+    """Every stored integer must fit the q4.12 word range [-32768, 32767]."""
+
+    @pytest.mark.parametrize("prefix,nth,value,where", [
+        ("w ", 0, 10**30, "layer 0 row 0"),
+        ("w ", 0, 40000, "layer 0 row 0"),
+        ("w ", 4, -32769, "layer 1 row 1"),
+        ("b ", 1, 32768, "layer 1 bias"),
+        ("lut", 0, -40000, "lut"),
+    ])
+    def test_out_of_range_value_rejected(self, prefix, nth, value, where):
+        text = set_value(TEXTS["qmodel"], prefix, value, nth)
+        with pytest.raises(ModelFormatError, match=f"{where}: value outside"):
+            parse_qmodel(text)
+
+    @pytest.mark.parametrize("value", [-32768, 32767])
+    def test_boundary_values_load(self, value):
+        text = TEXTS["qmodel"]
+        for prefix, nth in (("w ", 0), ("w ", 4), ("b ", 1), ("lut", 0)):
+            text = set_value(text, prefix, value, nth)
+        qnet = parse_qmodel(text)
+        assert qnet.weights[0][0][0] == qnet.weights[1][1][0] == value
+        assert qnet.biases[1][0] == qnet.tanh_lut[0] == value
+        assert q_predict_class(qnet, np.full((2, 4), 0.5)).shape == (2,)
+
+    def test_too_few_fractional_bits_rejected(self):
+        with pytest.raises(ModelFormatError, match=f"fewer than {MIN_FRAC_BITS}"):
+            parse_qmodel(edit(TEXTS["qmodel"], "format", "format 16 4"))
+
+    def test_minimum_fractional_bits_load(self):
+        text = edit(TEXTS["qmodel"], "format", f"format 16 {MIN_FRAC_BITS}")
+        qnet = parse_qmodel(text)
+        assert qnet.format == FixedFormat(16, MIN_FRAC_BITS)
+        assert q_predict_class(qnet, np.full((2, 4), 0.5)).shape == (2,)
+
+    @pytest.mark.parametrize("fmt", ["format 16 16", "format 40 12", "format 16 0"])
+    def test_invalid_format_is_a_model_format_error(self, fmt):
+        with pytest.raises(ModelFormatError, match="format"):
+            parse_qmodel(edit(TEXTS["qmodel"], "format", fmt))
 
 
 class TestWriteAtomic:
