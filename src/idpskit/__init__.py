@@ -40,7 +40,6 @@ from .ingest import (
 from .preprocessing import (
     RangeScaler,
     SplitSpec,
-    apply_scaler,
     fit_scaler,
     one_hot,
     split_dataset,
@@ -56,7 +55,6 @@ from .mlp import (
     init_network,
     loss_mse,
     predict_class,
-    predict_proba,
     train,
 )
 from .metrics import (

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .engine import StreamSummary, default_policy, process_stream
+from .engine import CHUNK, StreamSummary, default_policy, process_stream
 from .exceptions import IdpsError
 from .fixedpoint import FixedFormat, q_predict_class, quantize_network
 from .ingest import Dataset, iter_lines, load_dataset
@@ -333,16 +333,20 @@ def cmd_detect(args) -> int:
     bundle = load_model(args.model)
     schema = load_schema(args.schema) if args.schema else default_schema()
     policy = default_policy()
-    if args.data == "-":
+    # A live feed is scored and printed line by line, so no decision waits
+    # for later records or in the stdout buffer; a file is scored in chunks.
+    live = args.data == "-"
+    if live:
         lines = (line for line in sys.stdin)
     else:
         lines = (line for _, line in iter_lines(args.data))
     summary = StreamSummary()
     out_lines = []
-    for v in process_stream(lines, bundle, schema, policy):
+    for v in process_stream(lines, bundle, schema, policy,
+                            chunk=1 if live else CHUNK):
         scores = ",".join(f"{s:.6f}" for s in v.scores)
         line = f"{v.record_index},{v.predicted},{v.action},{scores}"
-        print(line)
+        print(line, flush=live)
         if v.error is not None:
             print(f"record {v.record_index}: {v.error}", file=sys.stderr)
         summary.update(v)

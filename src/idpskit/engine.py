@@ -6,6 +6,9 @@ accuracy tallies. Malformed lines (any IdpsError raised while parsing or
 encoding) degrade to an alert verdict — the engine fails safe and loud,
 and neighboring records are unaffected. Any other exception is a bug and
 propagates.
+
+Lines are parsed and encoded one at a time; the well-formed rows are
+scaled and scored in chunks, each row with the bits it gets alone.
 """
 
 from dataclasses import dataclass, field
@@ -23,6 +26,8 @@ ALERT = "alert"
 BLOCK = "block"
 
 _ACTIONS = (ALLOW, ALERT, BLOCK)
+
+CHUNK = 64  # rows scored per call when the input is a file
 
 
 @dataclass(frozen=True)
@@ -52,7 +57,8 @@ def decide(predicted: int, policy: Policy) -> str:
 class Verdict:
     """One decision: record index, predicted class, action, class scores.
 
-    predicted is -1 for malformed input (action alert, scores zero);
+    predicted is -1 for malformed input (action alert, scores zero),
+    whose error text and exception class name (cause) are kept;
     actual carries the stream label when one was present.
     """
 
@@ -62,6 +68,7 @@ class Verdict:
     scores: tuple
     actual: int | None = None
     error: str | None = None
+    cause: str | None = None
 
 
 @dataclass
@@ -72,18 +79,23 @@ class StreamSummary:
     n_errors: int = 0
     action_counts: dict = field(default_factory=lambda: {a: 0 for a in _ACTIONS})
     alarm_counts: dict = field(default_factory=dict)
+    cause_counts: dict = field(default_factory=dict)
 
     def update(self, verdict: Verdict) -> None:
         self.n_records += 1
         self.action_counts[verdict.action] += 1
         if verdict.error is not None:
             self.n_errors += 1
+            self.cause_counts[verdict.cause] = (
+                self.cause_counts.get(verdict.cause, 0) + 1)
         elif verdict.actual is not None:
             kind = alarm_outcome(verdict.predicted, verdict.actual)
             self.alarm_counts[kind] = self.alarm_counts.get(kind, 0) + 1
 
     def render(self) -> str:
         lines = [f"records {self.n_records}", f"errors {self.n_errors}"]
+        for cause in sorted(self.cause_counts):
+            lines.append(f"cause {cause} {self.cause_counts[cause]}")
         for action in _ACTIONS:
             lines.append(f"{action} {self.action_counts[action]}")
         for kind in ("true_positive", "false_positive",
@@ -109,16 +121,49 @@ def _parse_stream_line(line):
     )
 
 
-def process_stream(lines, bundle, schema, policy: Policy | None = None):
+def _score_chunk(pending, rows, bundle, policy):
+    """Score the buffered rows at once; yield pending verdicts in order.
+
+    pending holds error Verdicts and (index, actual) pairs, one pair per
+    row. The (n, 1, n_features) stack keeps each row's scores bit-identical
+    to scoring it alone.
+    """
+    scaled = bundle.scaler.transform(np.array(rows))
+    scores = forward(bundle.network, scaled[:, None, :])[:, 0, :]
+    scored = zip(np.argmax(scores, axis=1).tolist(), scores.tolist())
+    for item in pending:
+        if isinstance(item, Verdict):
+            yield item
+            continue
+        index, actual = item
+        predicted, row = next(scored)
+        yield Verdict(
+            record_index=index,
+            predicted=predicted,
+            action=decide(predicted, policy),
+            scores=tuple(row),
+            actual=actual,
+        )
+
+
+def process_stream(lines, bundle, schema, policy: Policy | None = None,
+                   chunk: int = CHUNK):
     """Yield one Verdict per input line, in arrival order.
 
     bundle is a loaded ModelBundle; its scaler and taxonomy are applied to
     every record. Encoding is strict: symbols unknown to the schema are
     treated as malformed input (alert), never silently coded.
+
+    Well-formed rows are scored chunk at a time, so a verdict may wait for
+    up to chunk - 1 later rows; with chunk=1 each verdict is yielded
+    before the next line is read.
     """
+    if chunk < 1:
+        raise ValueError(f"chunk must be >= 1, got {chunk}")
     if policy is None:
         policy = default_policy()
     zeros = tuple(0.0 for _ in range(bundle.network.layout.output_size))
+    pending, rows = [], []
     index = -1
     for line in lines:
         line = line.strip()
@@ -129,16 +174,18 @@ def process_stream(lines, bundle, schema, policy: Policy | None = None):
             raw = _parse_stream_line(line)
             vec, cid = encode_record(raw, schema, bundle.taxonomy, strict=True)
         except IdpsError as exc:
-            yield Verdict(record_index=index, predicted=-1, action=ALERT,
-                          scores=zeros, error=str(exc))
+            verdict = Verdict(record_index=index, predicted=-1, action=ALERT,
+                              scores=zeros, error=str(exc),
+                              cause=type(exc).__name__)
+            if rows:
+                pending.append(verdict)
+            else:
+                yield verdict
             continue
-        scaled = bundle.scaler.transform(vec.reshape(1, -1))[0]
-        scores = forward(bundle.network, scaled)
-        predicted = int(np.argmax(scores))
-        yield Verdict(
-            record_index=index,
-            predicted=predicted,
-            action=decide(predicted, policy),
-            scores=tuple(scores.tolist()),
-            actual=cid if raw.label else None,
-        )
+        rows.append(vec)
+        pending.append((index, cid if raw.label else None))
+        if len(rows) == chunk:
+            yield from _score_chunk(pending, rows, bundle, policy)
+            pending, rows = [], []
+    if rows:
+        yield from _score_chunk(pending, rows, bundle, policy)

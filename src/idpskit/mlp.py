@@ -128,10 +128,20 @@ def _forward_all(net: Network, X: np.ndarray):
 
 
 def forward(net: Network, x) -> np.ndarray:
-    """Network output for one input vector (or one row per input)."""
+    """Network output for one input vector, one row per input, or a stack.
+
+    A stack has shape (n, 1, input_size) and gives (n, 1, output_size).
+    numpy multiplies each (1, input_size) matrix of a stack on its own, as
+    it does one vector, so every row's output has the bits that row gets
+    alone. A 2-D batch is one matrix product, whose last bits may differ.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim == 3 and x.shape[1] == 1:
+        check_feature_array(x[:, 0, :], n_features=net.layout.input_size)
+        return _forward_all(net, x)[-1]
     X = check_feature_array(x, n_features=net.layout.input_size)
     out = _forward_all(net, X)[-1]
-    return out[0] if np.asarray(x).ndim == 1 else out
+    return out[0] if x.ndim == 1 else out
 
 
 def loss_mse(outputs, targets) -> float:
@@ -286,10 +296,6 @@ def _as_xy(part):
     return np.asarray(X, dtype=np.float64), np.asarray(y)
 
 
-def predict_proba(net: Network, X) -> np.ndarray:
-    return forward(net, X)
-
-
 def predict_class(net: Network, x):
     """Argmax of the network output; ties break to the lowest index."""
     out = forward(net, x)
@@ -364,4 +370,4 @@ class MLPClassifier:
 
     def predict_proba(self, X):
         self._check_fitted()
-        return predict_proba(self.network_, check_feature_array(X))
+        return forward(self.network_, check_feature_array(X))

@@ -98,12 +98,15 @@ class RangeScaler:
         return check_feature_array(X, n_features=len(self.min_), name=name)
 
     def transform(self, X):
+        """Scale rows into [0, 1]; a single vector gives a vector."""
+        vector = np.ndim(X) == 1
         X = self._check_fitted(X, "X")
         span = self.max_ - self.min_
         safe = np.where(span > 0, span, 1.0)
         out = (X - self.min_) / safe
         out[:, span == 0] = 0.0
-        return np.clip(out, 0.0, 1.0)
+        out = np.clip(out, 0.0, 1.0)
+        return out[0] if vector else out
 
     def fit_transform(self, X):
         return self.fit(X).transform(X)
@@ -116,12 +119,6 @@ class RangeScaler:
 
 def fit_scaler(train: Dataset) -> RangeScaler:
     return RangeScaler().fit(train.X)
-
-
-def apply_scaler(scaler: RangeScaler, v):
-    """Scale one 41-vector (or a matrix of rows) into [0, 1]."""
-    out = scaler.transform(v)
-    return out[0] if np.asarray(v).ndim == 1 else out
 
 
 def one_hot(label: int, k: int) -> np.ndarray:

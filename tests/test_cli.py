@@ -1,6 +1,10 @@
 import json
 import os
+import queue
 import re
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -301,6 +305,59 @@ class TestQuantizeCompareDetect:
                      "--schema", pipeline["prep"] / "schema.txt")
         assert rc == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 5
+
+    def test_file_and_stdin_print_the_same_verdicts(self, pipeline, tmp_path,
+                                                    capsys, monkeypatch):
+        import io
+
+        # A file is scored 64 rows at a time, stdin one row at a time.
+        lines = pipeline["corpus"].read_text().splitlines()[:300]
+        for i, bad in ((0, "garbage,line"), (64, lines[1] + ",extra"),
+                       (150, lines[2].rsplit(",", 1)[0] + ",")):
+            lines.insert(i, bad)
+        data = tmp_path / "mixed.txt"
+        data.write_text("\n".join(lines) + "\n")
+        model_args = ("--model", pipeline["model"],
+                      "--schema", pipeline["prep"] / "schema.txt")
+        assert run_cli("detect", "--data", data, *model_args) == 0
+        from_file = capsys.readouterr()
+        monkeypatch.setattr("sys.stdin", io.StringIO(data.read_text()))
+        assert run_cli("detect", "--data", "-", *model_args) == 0
+        from_stdin = capsys.readouterr()
+        assert len(from_file.out.splitlines()) == 303
+        assert from_file.out == from_stdin.out
+        assert from_file.err == from_stdin.err
+        assert "errors 3\ncause EmptyLabelError 1\ncause FieldCountError 2\n" \
+            in from_file.err
+
+    def test_stdin_verdict_arrives_before_input_ends(self, pipeline):
+        import idpskit
+
+        src = os.path.dirname(os.path.dirname(idpskit.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        env.pop("PYTHONUNBUFFERED", None)  # the program must flush itself
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "idpskit.cli", "detect", "--data", "-",
+             "--model", str(pipeline["model"]),
+             "--schema", str(pipeline["prep"] / "schema.txt")],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL, text=True, env=env)
+        try:
+            first = pipeline["corpus"].read_text().splitlines()[0]
+            proc.stdin.write(first + "\n")
+            proc.stdin.flush()
+            got = queue.Queue()
+            threading.Thread(target=lambda: got.put(proc.stdout.readline()),
+                             daemon=True).start()
+            verdict = got.get(timeout=60)
+            assert verdict.split(",")[0] == "0"
+            assert len(verdict.strip().split(",")) == 9
+            proc.stdin.close()
+            assert proc.wait(timeout=60) == 0
+        finally:
+            proc.kill()
+            proc.wait()
 
 
 class TestTrainProgress:

@@ -14,6 +14,7 @@ from idpskit.engine import (
     default_policy,
     process_stream,
 )
+from idpskit.exceptions import IdpsError
 from idpskit.ingest import map_attack
 from idpskit.metrics import alarm_tally
 from idpskit.mlp import NetworkLayout, init_network
@@ -215,3 +216,182 @@ class TestLabelsNeverDecide:
         assert labeled_v.scores == unlabeled_v.scores
         assert labeled_v.actual == map_attack(name, default_taxonomy())
         assert unlabeled_v.actual is None
+
+
+def per_row_process_stream(lines, bundle, schema, policy=None):
+    """Reference for process_stream: each row scaled and scored on its own.
+
+    A copy of the engine before chunked scoring, plus the cause field.
+    """
+    if policy is None:
+        policy = default_policy()
+    zeros = tuple(0.0 for _ in range(bundle.network.layout.output_size))
+    index = -1
+    for line in lines:
+        line = line.strip()
+        if not line:
+            continue
+        index += 1
+        try:
+            raw = engine._parse_stream_line(line)
+            vec, cid = engine.encode_record(raw, schema, bundle.taxonomy,
+                                            strict=True)
+        except IdpsError as exc:
+            yield engine.Verdict(record_index=index, predicted=-1, action=ALERT,
+                                 scores=zeros, error=str(exc),
+                                 cause=type(exc).__name__)
+            continue
+        scaled = bundle.scaler.transform(vec.reshape(1, -1))[0]
+        scores = engine.forward(bundle.network, scaled)
+        predicted = int(np.argmax(scores))
+        yield engine.Verdict(
+            record_index=index,
+            predicted=predicted,
+            action=decide(predicted, policy),
+            scores=tuple(scores.tolist()),
+            actual=cid if raw.label else None,
+        )
+
+
+def wide_bundle(seed):
+    """random_bundle with the default 20-unit hidden layer."""
+    bundle = random_bundle(seed)
+    bundle.network = init_network(NetworkLayout(41, (20,), 6), seed=seed)
+    return bundle
+
+
+MALFORMED = (
+    "garbage,line",                                   # FieldCountError
+    labeled_line(label=""),                           # EmptyLabelError
+    ",".join(["0", "tcp", "http", "SF", "nan"] + ["0"] * 36),  # NumericParseError
+    labeled_line(service="nosuchservice"),            # UnknownSymbolError
+)
+CHUNKS = (1, 2, 3, 64, 1000)
+
+
+def random_record(rng):
+    """41 feature texts schema_with_codes can encode, some out of scale."""
+    return ",".join(
+        repr(float(rng.uniform(-10.0, 200.0))) if d.kind == CONTINUOUS
+        else str(rng.choice(sorted(d.code_map)))
+        for d in schema_with_codes().descriptors
+    )
+
+
+@st.composite
+def mixed_streams(draw):
+    """Labeled, unlabeled, malformed and blank lines.
+
+    Record values come from a drawn numpy seed, so a failing stream shrinks
+    by its line kinds and not by 41 values per line.
+    """
+    kinds = draw(st.lists(
+        st.sampled_from(["labeled", "unlabeled", "malformed", "blank"]),
+        max_size=100))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lines = []
+    for kind in kinds:
+        if kind == "malformed":
+            lines.append(MALFORMED[rng.integers(len(MALFORMED))])
+        elif kind == "blank":
+            lines.append(str(rng.choice(["", "  "])))
+        elif kind == "labeled":
+            name = rng.choice(["normal", "smurf", "zzz_unknown"])
+            lines.append(f"{random_record(rng)},{name}.")
+        else:
+            lines.append(random_record(rng))
+    return lines
+
+
+def boundary_stream(n, bad):
+    """n record lines, malformed at the positions in bad."""
+    rng = np.random.default_rng(n)
+    return [MALFORMED[i % len(MALFORMED)] if i in bad else random_record(rng)
+            for i in range(n)]
+
+
+def assert_matches_per_row(lines, bundle, schema):
+    """process_stream equals the per-row reference at every chunk size.
+
+    Only the first differing verdict is reported, so a failure stays cheap
+    to explain and to shrink.
+    """
+    expected = list(per_row_process_stream(lines, bundle, schema))
+    for chunk in CHUNKS:
+        got = list(process_stream(lines, bundle, schema, chunk=chunk))
+        assert len(got) == len(expected), f"chunk={chunk}"
+        diff = next(((g, e) for g, e in zip(got, expected) if g != e), None)
+        assert diff is None, f"chunk={chunk}"
+    return expected
+
+
+class TestChunkedScoring:
+    @given(lines=mixed_streams(), seed=st.integers(0, 20))
+    @settings(max_examples=40, deadline=None)
+    def test_every_chunk_size_matches_per_row_scoring(self, lines, seed):
+        assert_matches_per_row(lines, wide_bundle(seed), schema_with_codes())
+
+    @pytest.mark.parametrize("bad", [
+        {0}, {129}, {0, 129}, {1, 2, 3}, {63, 64}, {62, 63, 64, 65},
+        {127, 128}, set(range(130)),
+    ], ids=["first", "last", "both_ends", "after_first", "chunk_edge",
+            "around_edge", "second_edge", "all_malformed"])
+    def test_malformed_at_chunk_boundaries(self, bad):
+        lines = boundary_stream(130, bad)
+        verdicts = assert_matches_per_row(lines, wide_bundle(1),
+                                          schema_with_codes())
+        assert [v.record_index for v in verdicts] == list(range(130))
+        assert {v.record_index for v in verdicts if v.error} == bad
+
+    def test_chunk_one_yields_before_reading_on(self):
+        lines = boundary_stream(8, {0, 3, 7})
+
+        def read_up_to(k):
+            for i, line in enumerate(lines):
+                if i > k:
+                    raise AssertionError(f"line {i} read before verdict {k}")
+                yield line
+
+        bundle, schema = wide_bundle(2), schema_with_codes()
+        for k in range(len(lines)):
+            stream = process_stream(read_up_to(k), bundle, schema, chunk=1)
+            verdicts = [next(stream) for _ in range(k + 1)]
+            assert verdicts[-1].record_index == k
+            assert (verdicts[-1].error is not None) == (k in {0, 3, 7})
+
+    def test_chunk_must_be_positive(self):
+        with pytest.raises(ValueError, match="chunk"):
+            list(process_stream([labeled_line()], normal_predicting_bundle(),
+                                schema_with_codes(), chunk=0))
+
+
+class TestErrorCauses:
+    def test_summary_counts_each_cause(self):
+        lines = [labeled_line(), *MALFORMED, unlabeled_line(), MALFORMED[0]]
+        summary = StreamSummary()
+        causes = []
+        for v in process_stream(lines, normal_predicting_bundle(),
+                                schema_with_codes()):
+            summary.update(v)
+            causes.append(v.cause)
+        assert causes == [None, "FieldCountError", "EmptyLabelError",
+                          "NumericParseError", "UnknownSymbolError", None,
+                          "FieldCountError"]
+        assert summary.cause_counts == {
+            "FieldCountError": 2, "EmptyLabelError": 1,
+            "NumericParseError": 1, "UnknownSymbolError": 1}
+        text = summary.render().splitlines()
+        assert text[:6] == ["records 7", "errors 5",
+                            "cause EmptyLabelError 1",
+                            "cause FieldCountError 2",
+                            "cause NumericParseError 1",
+                            "cause UnknownSymbolError 1"]
+
+    def test_clean_stream_renders_no_cause_lines(self):
+        summary = StreamSummary()
+        for v in process_stream([labeled_line(), unlabeled_line()],
+                                normal_predicting_bundle(), schema_with_codes()):
+            summary.update(v)
+        assert summary.render().splitlines() == [
+            "records 2", "errors 0", "allow 2", "alert 0", "block 0",
+            "true_negative 1"]

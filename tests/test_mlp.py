@@ -98,6 +98,26 @@ class TestForward:
         out = forward(net, np.array([0.5]))
         np.testing.assert_allclose(out, [0.881, 0.119], atol=5e-4)
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 300])
+    def test_stack_gives_each_row_its_own_bits(self, n):
+        net = make_net([41, 20, 6], seed=n)
+        X = np.random.default_rng(n).uniform(0, 1, (n, 41))
+        out = forward(net, X[:, None, :])
+        assert out.shape == (n, 1, 6)
+        for x, row in zip(X, out[:, 0, :]):
+            assert forward(net, x).tobytes() == row.tobytes()
+
+    def test_stack_is_checked_like_rows(self):
+        net = make_net([4, 3, 2])
+        bad = np.zeros((3, 1, 4))
+        bad[1, 0, 2] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            forward(net, bad)
+        with pytest.raises(ValueError, match="5 features, expected 4"):
+            forward(net, np.zeros((3, 1, 5)))
+        with pytest.raises(ValueError, match="ndim=3"):
+            forward(net, np.zeros((3, 2, 4)))
+
 
 class TestLossMse:
     def test_zero_when_equal(self):

@@ -8,7 +8,6 @@ from idpskit.ingest import Dataset
 from idpskit.preprocessing import (
     RangeScaler,
     SplitSpec,
-    apply_scaler,
     fit_scaler,
     one_hot,
     split_dataset,
@@ -133,9 +132,9 @@ class TestRangeScaler:
         np.testing.assert_array_equal(scaler.min_, train.X.min(axis=0))
         np.testing.assert_array_equal(scaler.max_, train.X.max(axis=0))
 
-    def test_apply_scaler_vector(self):
+    def test_transform_vector(self):
         scaler = RangeScaler().fit([[0.0, 0.0], [4.0, 2.0]])
-        out = apply_scaler(scaler, np.array([2.0, 1.0]))
+        out = scaler.transform(np.array([2.0, 1.0]))
         assert out.shape == (2,)
         np.testing.assert_allclose(out, [0.5, 0.5])
 
