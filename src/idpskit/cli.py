@@ -161,6 +161,11 @@ def _progress_printer(every, patience):
 
 def cmd_train(args) -> int:
     progress = _progress_printer(args.progress, args.patience)
+    cfg = TrainConfig(
+        max_epochs=args.max_epochs, patience=args.patience,
+        goal_mse=args.goal_mse, learning_rate=args.lr,
+        momentum=args.momentum, seed=args.seed,
+    )
     train_path = os.path.join(args.data, "train.csv")
     val_path = os.path.join(args.data, "val.csv")
     taxo_path = os.path.join(args.data, "taxonomy.txt")
@@ -170,11 +175,6 @@ def cmd_train(args) -> int:
     scaler = fit_scaler(train_p)
     train_s = Dataset(scaler.transform(train_p.X), train_p.y)
     val_s = Dataset(scaler.transform(val_p.X), val_p.y)
-    cfg = TrainConfig(
-        max_epochs=args.max_epochs, patience=args.patience,
-        goal_mse=args.goal_mse, learning_rate=args.lr,
-        momentum=args.momentum, seed=args.seed, batch_size=args.batch_size,
-    )
     layout = NetworkLayout(train_p.X.shape[1], _parse_hidden(args.hidden),
                            N_CLASSES)
     net0 = init_network(layout, cfg.seed)
@@ -194,7 +194,6 @@ def cmd_train(args) -> int:
         "hidden": args.hidden, "lr": args.lr, "momentum": args.momentum,
         "patience": args.patience, "goal_mse": args.goal_mse,
         "max_epochs": args.max_epochs, "seed": args.seed,
-        "batch_size": args.batch_size,
     }, [train_path, val_path, taxo_path])
     print(f"epochs {history.n_epochs} stop {history.stop_reason} "
           f"best_epoch {history.best_epoch} "
@@ -413,7 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--goal-mse", type=float, default=0.01)
     p.add_argument("--max-epochs", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--batch-size", type=int, default=None)
     p.add_argument("--progress", type=int, metavar="N",
                    help="print losses and validation failures to stderr "
                         "every N epochs")

@@ -7,6 +7,7 @@ best seen so far counts as a validation failure, and training stops after
 Everything is deterministic given (seed, data, config).
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,17 +70,18 @@ class TrainConfig:
     learning_rate: float = 0.01
     momentum: float = 0.9
     seed: int = 0
-    batch_size: int | None = None  # None = full batch
 
     def __post_init__(self):
+        if self.max_epochs < 1:
+            raise ValueError("max_epochs must be >= 1")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be positive and finite")
+        if not math.isfinite(self.goal_mse):
+            raise ValueError("goal_mse must be finite")
         if not 0 <= self.momentum < 1:
             raise ValueError("momentum must be in [0, 1)")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError("batch_size must be positive")
 
 
 @dataclass
@@ -208,12 +210,6 @@ class PatienceTracker:
         return self.failures >= self.patience
 
 
-def _epoch_batches(n: int, batch_size):
-    if batch_size is None or batch_size >= n:
-        return [slice(0, n)]
-    return [slice(i, min(i + batch_size, n)) for i in range(0, n, batch_size)]
-
-
 def train(net: Network, train_set, val_set, cfg: TrainConfig, on_epoch=None):
     """Gradient-descent training with momentum and early stopping.
 
@@ -223,10 +219,9 @@ def train(net: Network, train_set, val_set, cfg: TrainConfig, on_epoch=None):
     on_epoch, if given, is called after every epoch as
     on_epoch(epoch, train_mse, val_mse, failures).
 
-    Full batch, the forward pass that gives an epoch's train loss is also
-    the next epoch's gradient pass, so each epoch makes one forward pass
-    over the training rows. Mini-batch epochs make one per slice plus the
-    loss pass.
+    Each epoch takes one full-batch gradient step. The forward pass that
+    gives an epoch's train loss is also the next epoch's gradient pass, so
+    each epoch makes one forward pass over the training rows.
     """
     Xtr, ytr = _as_xy(train_set)
     Xva, yva = _as_xy(val_set)
@@ -242,25 +237,19 @@ def train(net: Network, train_set, val_set, cfg: TrainConfig, on_epoch=None):
     history = TrainHistory()
     tracker = PatienceTracker(cfg.patience)
     best_net = net.copy()
-    batches = _epoch_batches(len(Xtr), cfg.batch_size)
-    full_batch = len(batches) == 1
-    acts = _forward_all(net, Xtr) if full_batch else None
+    acts = _forward_all(net, Xtr)
 
     for epoch in range(1, cfg.max_epochs + 1):
-        for sl in batches:
-            dws, dbs = _batch_gradients(
-                net, acts if full_batch else _forward_all(net, Xtr[sl]), Ttr[sl])
-            for l in range(net.n_layers):
-                vel_w[l] = cfg.momentum * vel_w[l] - cfg.learning_rate * dws[l]
-                vel_b[l] = cfg.momentum * vel_b[l] - cfg.learning_rate * dbs[l]
-                net.weights[l] += vel_w[l]
-                net.biases[l] += vel_b[l]
+        dws, dbs = _batch_gradients(net, acts, Ttr)
+        for l in range(net.n_layers):
+            vel_w[l] = cfg.momentum * vel_w[l] - cfg.learning_rate * dws[l]
+            vel_b[l] = cfg.momentum * vel_b[l] - cfg.learning_rate * dbs[l]
+            net.weights[l] += vel_w[l]
+            net.biases[l] += vel_b[l]
 
         acts = None  # release the pre-update activations before the new pass
         acts = _forward_all(net, Xtr)
         train_mse = loss_mse(acts[-1], Ttr)
-        if not full_batch:
-            acts = None
         val_mse = loss_mse(_forward_all(net, Xva)[-1], Tva)
         if not (np.isfinite(train_mse) and np.isfinite(val_mse)):
             raise TrainingDivergedError(
@@ -314,7 +303,7 @@ class MLPClassifier:
 
     def __init__(self, hidden_sizes=(20,), n_classes=6, learning_rate=0.01,
                  momentum=0.9, patience=6, goal_mse=0.01, max_epochs=1000,
-                 seed=0, batch_size=None):
+                 seed=0):
         self.hidden_sizes = tuple(hidden_sizes)
         self.n_classes = n_classes
         self.learning_rate = learning_rate
@@ -323,12 +312,11 @@ class MLPClassifier:
         self.goal_mse = goal_mse
         self.max_epochs = max_epochs
         self.seed = seed
-        self.batch_size = batch_size
         self.network_ = None
         self.history_ = None
 
     _param_names = ("hidden_sizes", "n_classes", "learning_rate", "momentum",
-                    "patience", "goal_mse", "max_epochs", "seed", "batch_size")
+                    "patience", "goal_mse", "max_epochs", "seed")
 
     def get_params(self, deep=True):
         return {name: getattr(self, name) for name in self._param_names}
@@ -344,7 +332,7 @@ class MLPClassifier:
         return TrainConfig(
             max_epochs=self.max_epochs, patience=self.patience,
             goal_mse=self.goal_mse, learning_rate=self.learning_rate,
-            momentum=self.momentum, seed=self.seed, batch_size=self.batch_size,
+            momentum=self.momentum, seed=self.seed,
         )
 
     def fit(self, X, y, X_val, y_val):

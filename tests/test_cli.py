@@ -396,6 +396,31 @@ class TestTrainProgress:
         assert not (tmp_path / "model.txt").exists()
 
 
+class TestTrainSettings:
+    @pytest.mark.parametrize("flag,value", [("--max-epochs", "0"),
+                                            ("--max-epochs", "-5"),
+                                            ("--goal-mse", "nan")])
+    def test_invalid_setting_fails_before_writing(
+            self, pipeline, tmp_path, capsys, flag, value):
+        assert run_cli("train", "--data", pipeline["prep"],
+                       "--model", tmp_path / "model.txt", "--out", tmp_path,
+                       flag, value) == 2
+        assert "error in train" in capsys.readouterr().err
+        for name in ("model.txt", "history.csv", "run_manifest.json"):
+            assert not (tmp_path / name).exists()
+
+    def test_config_with_batch_size_fails_loudly(self, pipeline, tmp_path,
+                                                 capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"batch_size": 64}))
+        with pytest.raises(SystemExit) as exc:
+            run_cli("train", "--config", cfg, "--data", pipeline["prep"],
+                    "--model", tmp_path / "model.txt", "--max-epochs", "5")
+        assert exc.value.code == 2
+        assert "--batch-size" in capsys.readouterr().err
+        assert not (tmp_path / "model.txt").exists()
+
+
 class TestDeterminism:
     def _chain(self, corpus, base):
         prep = base / "prep"

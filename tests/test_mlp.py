@@ -208,11 +208,20 @@ class TestTrainConfig:
         {"learning_rate": -1.0},
         {"momentum": 1.0},
         {"momentum": -0.1},
-        {"batch_size": 0},
+        {"max_epochs": 0},
+        {"max_epochs": -5},
+        {"learning_rate": float("nan")},
+        {"learning_rate": float("inf")},
+        {"goal_mse": float("nan")},
+        {"goal_mse": float("inf")},
+        {"goal_mse": float("-inf")},
     ])
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
+
+    def test_negative_goal_allowed(self):
+        assert TrainConfig(goal_mse=-1.0).goal_mse == -1.0
 
 
 class TestTrain:
@@ -240,21 +249,6 @@ class TestTrain:
         assert ha.val_mse == hb.val_mse
         for wa, wb in zip(na.weights, nb.weights):
             np.testing.assert_array_equal(wa, wb)
-
-    def test_minibatch_path_learns_and_is_deterministic(self):
-        X, y = xor_style_data()
-        cfg = TrainConfig(max_epochs=1500, patience=1500, goal_mse=0.01,
-                          learning_rate=0.3, momentum=0.9, seed=1,
-                          batch_size=2)
-        runs = []
-        for _ in range(2):
-            net = make_net([2, 4, 2], seed=1)
-            fitted, history = train(net, (X, y), (X, y), cfg)
-            runs.append((fitted, history))
-        (na, ha), (_, hb) = runs
-        assert ha.train_mse == hb.train_mse
-        assert ha.train_mse[-1] < 0.05  # minibatch updates still converge
-        np.testing.assert_array_equal(predict_class(na, X), y)
 
     def test_divergence_detected(self):
         X, y = xor_style_data()
@@ -328,8 +322,9 @@ def overfit_run():
 def two_pass_train(net, train_set, val_set, cfg):
     """Reference for train(): the loop that runs every gradient forward pass.
 
-    Each batch gets its own forward pass, and each epoch then makes a
-    separate loss pass over the training rows with the updated weights.
+    Each epoch's gradient step gets its own forward pass, and the epoch
+    then makes a separate loss pass over the training rows with the
+    updated weights.
     """
     Xtr, ytr = (np.asarray(a) for a in train_set)
     Xva, yva = (np.asarray(a) for a in val_set)
@@ -341,17 +336,13 @@ def two_pass_train(net, train_set, val_set, cfg):
     history = TrainHistory()
     tracker = PatienceTracker(cfg.patience)
     best_net = net.copy()
-    n = len(Xtr)
-    size = n if cfg.batch_size is None else cfg.batch_size
-    batches = [slice(i, min(i + size, n)) for i in range(0, n, size)]
     for epoch in range(1, cfg.max_epochs + 1):
-        for sl in batches:
-            dws, dbs = _batch_gradients(net, _forward_all(net, Xtr[sl]), Ttr[sl])
-            for l in range(net.n_layers):
-                vel_w[l] = cfg.momentum * vel_w[l] - cfg.learning_rate * dws[l]
-                vel_b[l] = cfg.momentum * vel_b[l] - cfg.learning_rate * dbs[l]
-                net.weights[l] += vel_w[l]
-                net.biases[l] += vel_b[l]
+        dws, dbs = _batch_gradients(net, _forward_all(net, Xtr), Ttr)
+        for l in range(net.n_layers):
+            vel_w[l] = cfg.momentum * vel_w[l] - cfg.learning_rate * dws[l]
+            vel_b[l] = cfg.momentum * vel_b[l] - cfg.learning_rate * dbs[l]
+            net.weights[l] += vel_w[l]
+            net.biases[l] += vel_b[l]
         train_mse = loss_mse(_forward_all(net, Xtr)[-1], Ttr)
         val_mse = loss_mse(_forward_all(net, Xva)[-1], Tva)
         history.train_mse.append(train_mse)
@@ -402,7 +393,6 @@ def training_runs(draw):
         goal_mse=draw(st.sampled_from([0.0, 0.05, 0.1, 0.2])),
         learning_rate=draw(st.sampled_from([0.05, 0.5, 2.0])),
         momentum=draw(st.sampled_from([0.0, 0.5, 0.9])),
-        batch_size=draw(st.sampled_from([None, 1, 3, n - 1])),
     )
     return make_net([n_in, *hidden, k], seed), train_set, val_set, cfg
 
@@ -415,15 +405,14 @@ class TestOnePassLoop:
     def test_matches_two_pass_loop(self, run):
         assert_train_matches_two_pass(*run)
 
-    @pytest.mark.parametrize("batch_size", [None, 1, 3, 15])
     @pytest.mark.parametrize("stop,overrides", [
         ("goal_reached", {"patience": 4000, "goal_mse": 0.05}),
         ("patience_exhausted", {}),
         ("max_epochs", {"max_epochs": 30, "patience": 30}),
     ])
-    def test_every_stop_reason(self, batch_size, stop, overrides):
+    def test_every_stop_reason(self, stop, overrides):
         X, y, Xv, yv = _overfit_data()
-        cfg = replace(_overfit_config(), batch_size=batch_size, **overrides)
+        cfg = replace(_overfit_config(), **overrides)
         history = assert_train_matches_two_pass(make_net([2, 6, 2], seed=0),
                                                 (X, y), (Xv, yv), cfg)
         assert history.stop_reason == stop
