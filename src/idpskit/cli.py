@@ -8,6 +8,9 @@ byte-identical artifacts.
 """
 
 import argparse
+import codecs
+import collections
+import io
 import json
 import os
 import sys
@@ -328,27 +331,74 @@ def cmd_compare(args) -> int:
     return 0
 
 
+class LiveLines:
+    """The lines of a text stream such as sys.stdin, each as soon as it arrives.
+
+    Iterating yields exactly what ``for line in stream`` yields on POSIX:
+    the bytes decoded with the stream's encoding and errors, split after
+    each "\\n" only, and a last line without one. The bytes are read with
+    read1, which returns what has arrived (up to READ_SIZE bytes) and
+    blocks only when nothing has, so ready() can tell whether a complete
+    line is waiting. out is flushed before every read, so no output sits
+    in its buffer while the reader waits for input.
+    """
+
+    # what the text layer of sys.stdin reads at once; 64 KiB reads held a
+    # whole burst in memory and raised detect's peak RSS by about 0.4 MB
+    READ_SIZE = io.DEFAULT_BUFFER_SIZE
+
+    def __init__(self, stream, out):
+        self._raw = stream.buffer
+        self._decoder = codecs.getincrementaldecoder(stream.encoding)(
+            stream.errors)
+        self._out = out
+        self._lines = collections.deque()
+
+    def ready(self) -> bool:
+        """True while a complete line is buffered."""
+        return bool(self._lines)
+
+    def __iter__(self):
+        tail = ""
+        while True:
+            while self._lines:
+                yield self._lines.popleft()
+            self._out.flush()
+            block = self._raw.read1(self.READ_SIZE)
+            tail += self._decoder.decode(block, final=not block)
+            if not block:
+                if tail:
+                    yield tail
+                return
+            *lines, tail = tail.split("\n")
+            self._lines.extend(line + "\n" for line in lines)
+
+
 def cmd_detect(args) -> int:
     bundle = load_model(args.model)
     schema = load_schema(args.schema) if args.schema else default_schema()
     policy = default_policy()
-    # A live feed is scored and printed line by line, so no decision waits
-    # for later records or in the stdout buffer; a file is scored in chunks.
-    live = args.data == "-"
-    if live:
-        lines = (line for line in sys.stdin)
+    # A live feed scores the rows that have arrived as soon as no further
+    # line is waiting; its verdicts are flushed before the reader blocks
+    # and once per chunk, so none waits for later input or in the stdout
+    # buffer. A file is scored in full chunks.
+    if args.data == "-":
+        lines = LiveLines(sys.stdin, sys.stdout)
+        idle = lambda: not lines.ready()
     else:
         lines = (line for _, line in iter_lines(args.data))
+        idle = None
     summary = StreamSummary()
     out_lines = []
-    for v in process_stream(lines, bundle, schema, policy,
-                            chunk=1 if live else CHUNK):
+    for v in process_stream(lines, bundle, schema, policy, idle=idle):
         scores = ",".join(f"{s:.6f}" for s in v.scores)
         line = f"{v.record_index},{v.predicted},{v.action},{scores}"
-        print(line, flush=live)
+        print(line)
         if v.error is not None:
             print(f"record {v.record_index}: {v.error}", file=sys.stderr)
         summary.update(v)
+        if summary.n_records % CHUNK == 0:
+            sys.stdout.flush()
         if args.out:
             out_lines.append(line)
     print(summary.render(), file=sys.stderr)
@@ -459,11 +509,21 @@ def _apply_config_file(ap, args, argv):
         defaults = json.load(fh)
     if not isinstance(defaults, dict):
         raise ValueError("config file must hold a JSON object")
+    # every key must name an option in full: re-parsed as a flag, a prefix
+    # would silently set whichever option it abbreviates
+    command = next(a for a in ap._actions
+                   if isinstance(a, argparse._SubParsersAction)
+                   ).choices[args.command]
+    options = {flag for a in command._actions for flag in a.option_strings}
+    options -= {"-h", "--help", "--config"}
     merged = []
     for key, value in defaults.items():
+        flag = "--" + key.replace("_", "-")
+        if flag not in options:
+            raise ValueError(f"config file {args.config}: {key!r} is not an "
+                             f"option of {args.command}")
         if value is None:
             continue
-        flag = "--" + key.replace("_", "-")
         if isinstance(value, bool):
             if value:
                 merged.append(flag)

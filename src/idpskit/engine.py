@@ -8,7 +8,9 @@ and neighboring records are unaffected. Any other exception is a bug and
 propagates.
 
 Lines are parsed and encoded one at a time; the well-formed rows are
-scaled and scored in chunks, each row with the bits it gets alone.
+scaled and scored in chunks, each row with the bits it gets alone. A chunk
+closes at CHUNK rows or, on a live feed, as soon as no further line is
+waiting, so a verdict never waits for input that has not arrived.
 """
 
 from dataclasses import dataclass, field
@@ -27,7 +29,7 @@ BLOCK = "block"
 
 _ACTIONS = (ALLOW, ALERT, BLOCK)
 
-CHUNK = 64  # rows scored per call when the input is a file
+CHUNK = 64  # most rows scored per call
 
 
 @dataclass(frozen=True)
@@ -147,7 +149,7 @@ def _score_chunk(pending, rows, bundle, policy):
 
 
 def process_stream(lines, bundle, schema, policy: Policy | None = None,
-                   chunk: int = CHUNK):
+                   chunk: int = CHUNK, idle=None):
     """Yield one Verdict per input line, in arrival order.
 
     bundle is a loaded ModelBundle; its scaler and taxonomy are applied to
@@ -155,8 +157,12 @@ def process_stream(lines, bundle, schema, policy: Policy | None = None,
     treated as malformed input (alert), never silently coded.
 
     Well-formed rows are scored chunk at a time, so a verdict may wait for
-    up to chunk - 1 later rows; with chunk=1 each verdict is yielded
-    before the next line is read.
+    up to chunk - 1 later rows. idle, if given, is called after every line,
+    blank and malformed ones included; when it returns true the rows pending
+    so far are scored and their verdicts yielded before the next line is
+    read. A live reader passes "no complete line is waiting", so a verdict
+    waits only for rows that have already arrived. With chunk=1 each
+    verdict is yielded before the next line is read.
     """
     if chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk}")
@@ -167,24 +173,24 @@ def process_stream(lines, bundle, schema, policy: Policy | None = None,
     index = -1
     for line in lines:
         line = line.strip()
-        if not line:
-            continue
-        index += 1
-        try:
-            raw = _parse_stream_line(line)
-            vec, cid = encode_record(raw, schema, bundle.taxonomy, strict=True)
-        except IdpsError as exc:
-            verdict = Verdict(record_index=index, predicted=-1, action=ALERT,
-                              scores=zeros, error=str(exc),
-                              cause=type(exc).__name__)
-            if rows:
-                pending.append(verdict)
+        if line:
+            index += 1
+            try:
+                raw = _parse_stream_line(line)
+                vec, cid = encode_record(raw, schema, bundle.taxonomy,
+                                         strict=True)
+            except IdpsError as exc:
+                verdict = Verdict(record_index=index, predicted=-1,
+                                  action=ALERT, scores=zeros, error=str(exc),
+                                  cause=type(exc).__name__)
+                if rows:
+                    pending.append(verdict)
+                else:
+                    yield verdict
             else:
-                yield verdict
-            continue
-        rows.append(vec)
-        pending.append((index, cid if raw.label else None))
-        if len(rows) == chunk:
+                rows.append(vec)
+                pending.append((index, cid if raw.label else None))
+        if rows and (len(rows) == chunk or (idle is not None and idle())):
             yield from _score_chunk(pending, rows, bundle, policy)
             pending, rows = [], []
     if rows:

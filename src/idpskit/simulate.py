@@ -9,9 +9,11 @@ not available: same wire format, same class structure, dos-dominant mix,
 and enough overlap between classes that a classifier is genuinely tested.
 """
 
+from functools import cache
+
 import numpy as np
 
-from .schema import N_FEATURES
+from .schema import N_FEATURES, default_schema
 
 # (attack name, weight) -- dos-heavy like the public 10% file
 _MIX = [
@@ -34,23 +36,10 @@ _MIX = [
     ("rootkit", 0.0004),
 ]
 
-_IDX = {
-    name: i for i, name in enumerate([
-        "duration", "protocol_type", "service", "flag", "src_bytes",
-        "dst_bytes", "land", "wrong_fragment", "urgent", "hot",
-        "num_failed_logins", "logged_in", "num_compromised", "root_shell",
-        "su_attempted", "num_root", "num_file_creations", "num_shells",
-        "num_access_files", "num_outbound_cmds", "is_hot_login",
-        "is_guest_login", "count", "srv_count", "serror_rate",
-        "srv_serror_rate", "rerror_rate", "srv_rerror_rate", "same_srv_rate",
-        "diff_srv_rate", "srv_diff_host_rate", "dst_host_count",
-        "dst_host_srv_count", "dst_host_same_srv_rate",
-        "dst_host_diff_srv_rate", "dst_host_same_src_port_rate",
-        "dst_host_srv_diff_host_rate", "dst_host_serror_rate",
-        "dst_host_srv_serror_rate", "dst_host_rerror_rate",
-        "dst_host_srv_rerror_rate",
-    ])
-}
+@cache
+def _names() -> tuple:
+    """The feature names in field order, read once from the default schema."""
+    return tuple(default_schema().names)
 
 _INT_FIELDS = {
     "duration", "src_bytes", "dst_bytes", "land", "wrong_fragment", "urgent",
@@ -62,7 +51,7 @@ _INT_FIELDS = {
 
 
 def _blank():
-    return {name: 0.0 for name in _IDX}
+    return {name: 0.0 for name in _names()}
 
 
 def _rate(rng, center, spread):
@@ -343,7 +332,7 @@ def make_record(rng, attack: str) -> str:
                     "rerror_rate", "same_srv_rate", "diff_srv_rate"):
             f[key] = g[key]
     fields = []
-    for name in _IDX:
+    for name in _names():
         v = f[name]
         if isinstance(v, str):
             fields.append(v)

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import queue
@@ -5,16 +6,36 @@ import re
 import subprocess
 import sys
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from idpskit.cli import main, read_partition_csv
+from idpskit.cli import LiveLines, main, read_partition_csv
 from idpskit.simulate import write_corpus
 
 
 def run_cli(*args):
     return main([str(a) for a in args])
+
+
+def text_stdin(text):
+    """A stand-in for sys.stdin: a text layer over a binary buffer."""
+    return io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8")
+
+
+def cli_env():
+    """The environment for an idpskit child process, without
+    PYTHONUNBUFFERED: the program must flush itself."""
+    import idpskit
+
+    src = os.path.dirname(os.path.dirname(idpskit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
 
 
 @pytest.fixture(scope="module")
@@ -297,10 +318,8 @@ class TestQuantizeCompareDetect:
         assert len(verdicts) == 1501
 
     def test_detect_stdin(self, pipeline, tmp_path, capsys, monkeypatch):
-        import io
-
         lines = (pipeline["corpus"]).read_text().splitlines()[:5]
-        monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines)))
+        monkeypatch.setattr("sys.stdin", text_stdin("\n".join(lines)))
         rc = run_cli("detect", "--data", "-", "--model", pipeline["model"],
                      "--schema", pipeline["prep"] / "schema.txt")
         assert rc == 0
@@ -308,9 +327,8 @@ class TestQuantizeCompareDetect:
 
     def test_file_and_stdin_print_the_same_verdicts(self, pipeline, tmp_path,
                                                     capsys, monkeypatch):
-        import io
-
-        # A file is scored 64 rows at a time, stdin one row at a time.
+        # A file is scored in full chunks; stdin is scored whenever no
+        # further line is waiting, which here is only at the end.
         lines = pipeline["corpus"].read_text().splitlines()[:300]
         for i, bad in ((0, "garbage,line"), (64, lines[1] + ",extra"),
                        (150, lines[2].rsplit(",", 1)[0] + ",")):
@@ -321,7 +339,7 @@ class TestQuantizeCompareDetect:
                       "--schema", pipeline["prep"] / "schema.txt")
         assert run_cli("detect", "--data", data, *model_args) == 0
         from_file = capsys.readouterr()
-        monkeypatch.setattr("sys.stdin", io.StringIO(data.read_text()))
+        monkeypatch.setattr("sys.stdin", text_stdin(data.read_text()))
         assert run_cli("detect", "--data", "-", *model_args) == 0
         from_stdin = capsys.readouterr()
         assert len(from_file.out.splitlines()) == 303
@@ -331,18 +349,12 @@ class TestQuantizeCompareDetect:
             in from_file.err
 
     def test_stdin_verdict_arrives_before_input_ends(self, pipeline):
-        import idpskit
-
-        src = os.path.dirname(os.path.dirname(idpskit.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        env.pop("PYTHONUNBUFFERED", None)  # the program must flush itself
         proc = subprocess.Popen(
             [sys.executable, "-m", "idpskit.cli", "detect", "--data", "-",
              "--model", str(pipeline["model"]),
              "--schema", str(pipeline["prep"] / "schema.txt")],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-            stderr=subprocess.DEVNULL, text=True, env=env)
+            stderr=subprocess.DEVNULL, text=True, env=cli_env())
         try:
             first = pipeline["corpus"].read_text().splitlines()[0]
             proc.stdin.write(first + "\n")
@@ -358,6 +370,125 @@ class TestQuantizeCompareDetect:
         finally:
             proc.kill()
             proc.wait()
+
+    def test_stdin_burst_then_late_line_matches_file(self, pipeline, tmp_path):
+        lines = pipeline["corpus"].read_text().splitlines()[:301]
+        for i, bad in ((0, "garbage,line"), (64, lines[1] + ",extra"),
+                       (299, lines[2].rsplit(",", 1)[0] + ",")):
+            lines[i] = bad
+        burst, late = lines[:300], lines[300]
+        data = tmp_path / "burst.txt"
+        data.write_text("\n".join(lines) + "\n")
+        args = [sys.executable, "-m", "idpskit.cli", "detect",
+                "--model", str(pipeline["model"]),
+                "--schema", str(pipeline["prep"] / "schema.txt"), "--data"]
+        from_file = subprocess.run(args + [str(data)], capture_output=True,
+                                   env=cli_env(), timeout=120, check=True)
+        proc = subprocess.Popen(args + ["-"], stdin=subprocess.PIPE,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env=cli_env())
+        got = queue.Queue()
+
+        def read_lines():
+            for out_line in iter(proc.stdout.readline, b""):
+                got.put(out_line)
+            got.put(None)
+
+        threading.Thread(target=read_lines, daemon=True).start()
+        try:
+            os.write(proc.stdin.fileno(),
+                     "".join(line + "\n" for line in burst).encode())
+            out = [got.get(timeout=60) for _ in burst]
+            os.write(proc.stdin.fileno(), (late + "\n").encode())
+            out.append(got.get(timeout=60))
+            assert out[-1].startswith(b"300,")
+            proc.stdin.close()
+            assert got.get(timeout=60) is None
+            assert proc.wait(timeout=60) == 0
+            assert b"".join(out) == from_file.stdout
+            assert proc.stderr.read() == from_file.stderr
+        finally:
+            proc.kill()
+            proc.wait()
+
+
+# pieces that stress decoding and line splitting: newline forms, multibyte
+# characters (split across reads when a read boundary falls inside them),
+# bytes invalid in UTF-8 and characters that str.splitlines treats as breaks
+PIECES = (b"0,tcp", b"\n", b"\r\n", b"\r", b"", b" ", "\u00e9".encode(),
+          "\u20ac".encode(), "\U0001d11e".encode(), b"\xff", b"\xc3",
+          b"\x0b", b"\x1c", "\u2028".encode())
+
+
+class FakeStdin:
+    """sys.stdin over data whose reads return the given pieces in turn."""
+
+    def __init__(self, data, cuts, encoding, errors, events):
+        self.encoding, self.errors, self.buffer = encoding, errors, self
+        self._blocks = [data[a:b] for a, b in zip([0, *cuts], [*cuts, None])]
+        self._events = events
+
+    def read1(self, size):
+        self._events.append("read")
+        return self._blocks.pop(0) if self._blocks else b""
+
+
+def live_lines(data, cuts, encoding, errors):
+    """LiveLines over data. Every read must follow a flush, and ready()
+    must be true exactly when the next line comes without a read."""
+    events = []
+    reader = LiveLines(FakeStdin(data, cuts, encoding, errors, events),
+                       SimpleNamespace(flush=lambda: events.append("flush")))
+    lines = []
+    for line in reader:
+        lines.append(line)
+        events.append(reader.ready())
+    for i, event in enumerate(events):
+        after = events[i + 1] if i + 1 < len(events) else None
+        if event == "read":
+            assert events[i - 1] == "flush"
+        elif event is True:
+            assert after in (True, False)
+        elif event is False:
+            assert after in ("flush", None)
+    return lines
+
+
+class TestLiveLines:
+    @given(data=st.lists(st.sampled_from(PIECES), max_size=30).map(b"".join),
+           cut_seeds=st.lists(st.integers(0, 10**6), max_size=8),
+           encoding=st.sampled_from(["utf-8", "latin-1"]),
+           errors=st.sampled_from(["strict", "surrogateescape", "replace"]))
+    @settings(max_examples=300, deadline=None)
+    def test_yields_what_iterating_stdin_yields(self, data, cut_seeds,
+                                                 encoding, errors):
+        # read boundaries strictly inside data: only the end reads as b""
+        cuts = sorted({seed % len(data) for seed in cut_seeds} - {0}
+                      if data else ())
+        # sys.stdin on POSIX is a TextIOWrapper with newline="\n"
+        stdin = io.TextIOWrapper(io.BytesIO(data), encoding=encoding,
+                                 errors=errors, newline="\n")
+        try:
+            expected = list(stdin)
+        except UnicodeDecodeError:
+            with pytest.raises(UnicodeDecodeError):
+                live_lines(data, cuts, encoding, errors)
+            return
+        assert live_lines(data, cuts, encoding, errors) == expected
+
+    def test_reference_is_what_sys_stdin_yields(self):
+        data = b"".join(PIECES) + b"\nlast"
+        env = dict(cli_env(), PYTHONIOENCODING="utf-8:surrogateescape")
+        expected = ascii(list(io.TextIOWrapper(
+            io.BytesIO(data), encoding="utf-8", errors="surrogateescape",
+            newline="\n")))
+        for code in ("import sys; print(ascii(list(sys.stdin)))",
+                     "import sys; from idpskit.cli import LiveLines; "
+                     "print(ascii(list(LiveLines(sys.stdin, sys.stdout))))"):
+            child = subprocess.run([sys.executable, "-c", code], input=data,
+                                   capture_output=True, env=env, timeout=60,
+                                   check=True)
+            assert child.stdout.decode().strip() == expected
 
 
 class TestTrainProgress:
@@ -413,11 +544,11 @@ class TestTrainSettings:
                                                  capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"batch_size": 64}))
-        with pytest.raises(SystemExit) as exc:
-            run_cli("train", "--config", cfg, "--data", pipeline["prep"],
-                    "--model", tmp_path / "model.txt", "--max-epochs", "5")
-        assert exc.value.code == 2
-        assert "--batch-size" in capsys.readouterr().err
+        assert run_cli("train", "--config", cfg, "--data", pipeline["prep"],
+                       "--model", tmp_path / "model.txt",
+                       "--max-epochs", "5") == 2
+        assert (f"error in train: config file {cfg}: 'batch_size' is not an "
+                "option of train") in capsys.readouterr().err
         assert not (tmp_path / "model.txt").exists()
 
 
@@ -475,3 +606,31 @@ class TestConfigFile:
             (tmp_path / "flag_out" / "run_manifest.json").read_text())
         assert manifest["config"]["split"] == "0.70,0.15,0.15"
         assert manifest["config"]["seed"] == 9  # config supplied, no flag
+
+    @pytest.mark.parametrize("config,key", [
+        ({"goal": 0.5, "max": 7}, "goal"),   # prefixes of --goal-mse, --max-epochs
+        ({"max_epoch": 7}, "max_epoch"),
+        ({"nosuch": 1}, "nosuch"),
+        ({"config": "other.json"}, "config"),
+    ], ids=["prefixes", "prefix", "unknown", "config"])
+    def test_key_must_name_an_option_exactly(self, pipeline, tmp_path, capsys,
+                                             config, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert run_cli("train", "--config", cfg, "--data", pipeline["prep"],
+                       "--model", tmp_path / "model.txt") == 2
+        assert capsys.readouterr().err == (
+            f"error in train: config file {cfg}: {key!r} is not an option "
+            "of train\n")
+        assert not (tmp_path / "model.txt").exists()
+
+    def test_exact_keys_set_their_options(self, pipeline, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"goal_mse": 0.5, "max-epochs": 3,
+                                   "seed": 4, "progress": None}))
+        assert run_cli("train", "--config", cfg, "--data", pipeline["prep"],
+                       "--model", tmp_path / "model.txt") == 0
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert manifest["config"]["goal_mse"] == 0.5
+        assert manifest["config"]["max_epochs"] == 3
+        assert manifest["config"]["seed"] == 4

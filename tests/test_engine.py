@@ -8,6 +8,7 @@ from idpskit.engine import (
     ALERT,
     ALLOW,
     BLOCK,
+    CHUNK,
     Policy,
     StreamSummary,
     decide,
@@ -358,6 +359,61 @@ class TestChunkedScoring:
             verdicts = [next(stream) for _ in range(k + 1)]
             assert verdicts[-1].record_index == k
             assert (verdicts[-1].error is not None) == (k in {0, 3, 7})
+
+    def test_idle_yields_before_reading_on(self):
+        lines = boundary_stream(8, {0, 3, 7})
+
+        def read_up_to(k):
+            for i, line in enumerate(lines):
+                if i > k:
+                    raise AssertionError(f"line {i} read before verdict {k}")
+                yield line
+
+        bundle, schema = wide_bundle(2), schema_with_codes()
+        for k in range(len(lines)):
+            stream = process_stream(read_up_to(k), bundle, schema,
+                                    chunk=CHUNK, idle=lambda: True)
+            verdicts = [next(stream) for _ in range(k + 1)]
+            assert verdicts[-1].record_index == k
+            assert (verdicts[-1].error is not None) == (k in {0, 3, 7})
+
+    def test_burst_is_scored_when_idle_after_any_line(self):
+        # a burst may end on a record, a malformed line or a blank line;
+        # idle is true only once the burst's last line has been read
+        records = boundary_stream(6, {2, 5})
+        lines = [records[0], records[1], "", records[2], records[3], "  ",
+                 records[4], records[5], ""]
+        bundle, schema = wide_bundle(3), schema_with_codes()
+        for k in range(len(lines)):
+            read = []
+
+            def burst():
+                for line in lines:
+                    if len(read) > k:
+                        raise AssertionError(f"read past the burst of {k + 1}")
+                    read.append(line)
+                    yield line
+
+            expected = list(per_row_process_stream(lines[:k + 1], bundle,
+                                                   schema))
+            stream = process_stream(burst(), bundle, schema,
+                                    idle=lambda: len(read) == k + 1)
+            assert [next(stream) for _ in expected] == expected
+
+    @given(lines=mixed_streams(), seed=st.integers(0, 20),
+           idles=st.lists(st.booleans(), min_size=1, max_size=20))
+    @settings(max_examples=40, deadline=None)
+    def test_idle_pattern_never_changes_verdicts(self, lines, seed, idles):
+        bundle, schema = wide_bundle(seed), schema_with_codes()
+        calls = iter(range(10**6))
+
+        def idle():
+            return idles[next(calls) % len(idles)]
+
+        expected = list(per_row_process_stream(lines, bundle, schema))
+        assert list(process_stream(lines, bundle, schema, idle=idle)) == expected
+        burst = list(process_stream(lines, bundle, schema, idle=lambda: False))
+        assert burst == expected
 
     def test_chunk_must_be_positive(self):
         with pytest.raises(ValueError, match="chunk"):
