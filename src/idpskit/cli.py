@@ -53,6 +53,7 @@ from .schema import (
 from .validation import check_labels
 
 PARTITIONS = ("train", "val", "test")
+WRITE_BLOCK = 4096  # rows of a partition formatted at once
 
 
 def write_manifest(out_dir, command: str, config: dict, inputs: list) -> None:
@@ -79,10 +80,30 @@ def write_manifest(out_dir, command: str, config: dict, inputs: list) -> None:
 
 
 def write_partition_csv(path, d: Dataset) -> None:
-    rows = []
-    for vec, label in zip(d.X, d.y):
-        rows.append(",".join(repr(float(v)) for v in vec) + f",{int(label)}")
-    write_atomic(path, "\n".join(rows) + "\n")
+    """One line per row: repr of each feature, then the class id.
+
+    Each column's distinct values are formatted once. They are told apart
+    by their bits, not their value, so -0.0 and 0.0 keep their own text.
+    Lines are built and written WRITE_BLOCK rows at a time.
+    """
+    columns = []
+    for col in d.X.T:
+        keys = np.unique(col.view(np.int64))
+        text = np.array([repr(v) for v in keys.view(np.float64).tolist()],
+                        dtype=object)
+        columns.append((keys, text))
+    labels = [str(c) for c in d.y.tolist()]
+
+    def blocks():
+        # one block even with no rows: an empty partition is one "\n"
+        for start in range(0, max(len(d), 1), WRITE_BLOCK):
+            bits = d.X[start:start + WRITE_BLOCK].view(np.int64)
+            cells = [text[np.searchsorted(keys, bits[:, j])].tolist()
+                     for j, (keys, text) in enumerate(columns)]
+            cells.append(labels[start:start + WRITE_BLOCK])
+            yield "\n".join(map(",".join, zip(*cells))) + "\n"
+
+    write_atomic(path, blocks())
 
 
 def read_partition_csv(path) -> Dataset:
@@ -386,7 +407,8 @@ def cmd_detect(args) -> int:
         lines = LiveLines(sys.stdin, sys.stdout)
         idle = lambda: not lines.ready()
     else:
-        lines = (line for _, line in iter_lines(args.data))
+        lines = (line for _, line in iter_lines(args.data,
+                                                errors="surrogateescape"))
         idle = None
     summary = StreamSummary()
     out_lines = []

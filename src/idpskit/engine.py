@@ -7,9 +7,9 @@ encoding) degrade to an alert verdict — the engine fails safe and loud,
 and neighboring records are unaffected. Any other exception is a bug and
 propagates.
 
-Lines are parsed and encoded one at a time; the well-formed rows are
-scaled and scored in chunks, each row with the bits it gets alone. A chunk
-closes at CHUNK rows or, on a live feed, as soon as no further line is
+Lines are parsed one at a time; the parsed records are encoded, scaled
+and scored in chunks, each row with the bits it gets alone. A chunk
+closes at CHUNK records or, on a live feed, as soon as no further line is
 waiting, so a verdict never waits for input that has not arrived.
 """
 
@@ -18,7 +18,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import FieldCountError, IdpsError
-from .ingest import RawRecord, encode_record, parse_record
+from .ingest import (
+    CHUNK,
+    RawRecord,
+    encode_record,
+    encode_records,
+    parse_record,
+    split_fields,
+)
 from .metrics import alarm_outcome
 from .mlp import forward
 from .schema import N_CLASSES, N_FEATURES
@@ -28,8 +35,6 @@ ALERT = "alert"
 BLOCK = "block"
 
 _ACTIONS = (ALLOW, ALERT, BLOCK)
-
-CHUNK = 64  # most rows scored per call
 
 
 @dataclass(frozen=True)
@@ -117,34 +122,51 @@ def _parse_stream_line(line):
     if n_fields == N_FEATURES + 1:
         return parse_record(line)
     if n_fields == N_FEATURES:
-        return RawRecord(features=[f.strip() for f in line.split(",")], label="")
+        return RawRecord(features=split_fields(line), label="")
     raise FieldCountError(
         f"expected {N_FEATURES} or {N_FEATURES + 1} fields, got {n_fields}"
     )
 
 
-def _score_chunk(pending, rows, bundle, policy):
-    """Score the buffered rows at once; yield pending verdicts in order.
+def _error_verdict(index, exc, zeros):
+    return Verdict(record_index=index, predicted=-1, action=ALERT,
+                   scores=zeros, error=str(exc), cause=type(exc).__name__)
 
-    pending holds error Verdicts and (index, actual) pairs, one pair per
-    row. The (n, 1, n_features) stack keeps each row's scores bit-identical
-    to scoring it alone.
+
+def _score_chunk(pending, raws, bundle, schema, policy, zeros):
+    """Encode and score the buffered records at once; yield pending verdicts.
+
+    pending holds the parse-error Verdicts and one record index per raw,
+    in arrival order. A record that fails to encode becomes an error
+    verdict in its place. The (n, 1, n_features) stack keeps each row's
+    scores bit-identical to scoring it alone.
     """
-    scaled = bundle.scaler.transform(np.array(rows))
-    scores = forward(bundle.network, scaled[:, None, :])[:, 0, :]
-    scored = zip(np.argmax(scores, axis=1).tolist(), scores.tolist())
+    # encode_record is passed from this module's namespace, so a wrapper
+    # installed as engine.encode_record sees every record that needs it
+    X, classes, failures = encode_records(raws, schema, bundle.taxonomy,
+                                          strict=True, encode=encode_record)
+    failed = dict(failures)
+    if len(X):
+        scaled = bundle.scaler.transform(X)
+        scores = forward(bundle.network, scaled[:, None, :])[:, 0, :]
+        scored = zip(np.argmax(scores, axis=1).tolist(), scores.tolist(),
+                     classes.tolist())
+    records = enumerate(raws)
     for item in pending:
         if isinstance(item, Verdict):
             yield item
             continue
-        index, actual = item
-        predicted, row = next(scored)
+        pos, raw = next(records)
+        if pos in failed:
+            yield _error_verdict(item, failed[pos], zeros)
+            continue
+        predicted, row, cid = next(scored)
         yield Verdict(
-            record_index=index,
+            record_index=item,
             predicted=predicted,
             action=decide(predicted, policy),
             scores=tuple(row),
-            actual=actual,
+            actual=cid if raw.label else None,
         )
 
 
@@ -156,20 +178,21 @@ def process_stream(lines, bundle, schema, policy: Policy | None = None,
     every record. Encoding is strict: symbols unknown to the schema are
     treated as malformed input (alert), never silently coded.
 
-    Well-formed rows are scored chunk at a time, so a verdict may wait for
-    up to chunk - 1 later rows. idle, if given, is called after every line,
-    blank and malformed ones included; when it returns true the rows pending
-    so far are scored and their verdicts yielded before the next line is
-    read. A live reader passes "no complete line is waiting", so a verdict
-    waits only for rows that have already arrived. With chunk=1 each
-    verdict is yielded before the next line is read.
+    Parsed records are encoded and scored chunk at a time, so a verdict
+    may wait for up to chunk - 1 later records. idle, if given, is called
+    after every line, blank and malformed ones included; when it returns
+    true the records pending so far are scored and their verdicts yielded
+    before the next line is read. A live reader passes "no complete line
+    is waiting", so a verdict waits only for records that have already
+    arrived. With chunk=1 each verdict is yielded before the next line is
+    read.
     """
     if chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk}")
     if policy is None:
         policy = default_policy()
     zeros = tuple(0.0 for _ in range(bundle.network.layout.output_size))
-    pending, rows = [], []
+    pending, raws = [], []
     index = -1
     for line in lines:
         line = line.strip()
@@ -177,21 +200,18 @@ def process_stream(lines, bundle, schema, policy: Policy | None = None,
             index += 1
             try:
                 raw = _parse_stream_line(line)
-                vec, cid = encode_record(raw, schema, bundle.taxonomy,
-                                         strict=True)
             except IdpsError as exc:
-                verdict = Verdict(record_index=index, predicted=-1,
-                                  action=ALERT, scores=zeros, error=str(exc),
-                                  cause=type(exc).__name__)
-                if rows:
+                verdict = _error_verdict(index, exc, zeros)
+                if raws:
                     pending.append(verdict)
                 else:
                     yield verdict
             else:
-                rows.append(vec)
-                pending.append((index, cid if raw.label else None))
-        if rows and (len(rows) == chunk or (idle is not None and idle())):
-            yield from _score_chunk(pending, rows, bundle, policy)
-            pending, rows = [], []
-    if rows:
-        yield from _score_chunk(pending, rows, bundle, policy)
+                raws.append(raw)
+                pending.append(index)
+        if raws and (len(raws) == chunk or (idle is not None and idle())):
+            yield from _score_chunk(pending, raws, bundle, schema, policy,
+                                    zeros)
+            pending, raws = [], []
+    if raws:
+        yield from _score_chunk(pending, raws, bundle, schema, policy, zeros)

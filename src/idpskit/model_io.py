@@ -40,8 +40,10 @@ def _umask() -> int:
     return mask
 
 
-def write_atomic(path, text: str) -> None:
-    """Write via a temp file in the target directory, then rename.
+def write_atomic(path, text) -> None:
+    """Write text via a temp file in the target directory, then rename.
+
+    text is a str, or an iterable of str pieces written one after another.
 
     The file gets the mode open() would give it (0o666 less the umask):
     mkstemp creates it 0o600 and the rename keeps that.
@@ -50,7 +52,7 @@ def write_atomic(path, text: str) -> None:
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         os.chmod(tmp, 0o666 & ~_umask())
         os.replace(tmp, path)
     except BaseException:

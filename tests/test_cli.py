@@ -7,13 +7,16 @@ import subprocess
 import sys
 import threading
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idpskit.cli import LiveLines, main, read_partition_csv
+from idpskit import cli
+from idpskit.cli import LiveLines, main, read_partition_csv, write_partition_csv
+from idpskit.ingest import Dataset
 from idpskit.simulate import write_corpus
 
 
@@ -102,6 +105,53 @@ class TestReadPartitionCsv:
             read_partition_csv(path)
 
 
+def row_loop_partition_text(d):
+    """Reference for write_partition_csv: repr of every value, row by row."""
+    rows = []
+    for vec, label in zip(d.X, d.y):
+        rows.append(",".join(repr(float(v)) for v in vec) + f",{int(label)}")
+    return "\n".join(rows) + "\n"
+
+
+# values whose text is easy to get wrong: both zeros, subnormals, extremes
+SPECIAL_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                  1e-310, 1e308, -1e308, 1.7976931348623157e308, 0.1, 1.0,
+                  181.0)
+
+
+@st.composite
+def partitions(draw):
+    n_rows = draw(st.integers(1, 12))
+    n_cols = draw(st.integers(1, 5))
+    # both zeros are always in the pool, so most partitions mix them
+    pool = [0.0, -0.0] + draw(st.lists(
+        st.sampled_from(SPECIAL_FLOATS)
+        | st.floats(allow_nan=False, allow_infinity=False), max_size=6))
+    values = draw(st.lists(st.sampled_from(pool), min_size=n_rows * n_cols,
+                           max_size=n_rows * n_cols))
+    labels = draw(st.lists(st.integers(0, 5), min_size=n_rows,
+                           max_size=n_rows))
+    return Dataset(X=np.array(values, dtype=np.float64).reshape(n_rows, n_cols),
+                   y=np.array(labels, dtype=np.int64))
+
+
+class TestWritePartitionCsv:
+    @given(d=partitions(), block=st.integers(1, 13))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_row_loop_formula(self, tmp_path_factory, d, block):
+        path = tmp_path_factory.mktemp("part") / "p.csv"
+        with mock.patch.object(cli, "WRITE_BLOCK", block):
+            write_partition_csv(path, d)
+        assert path.read_text() == row_loop_partition_text(d)
+
+    def test_negative_zero_beside_zero(self, tmp_path):
+        d = Dataset(X=np.array([[0.0, -0.0], [-0.0, 0.0], [0.0, 0.0]]),
+                    y=np.array([0, 1, 2]))
+        write_partition_csv(tmp_path / "p.csv", d)
+        assert (tmp_path / "p.csv").read_text() == \
+            "0.0,-0.0,0\n-0.0,0.0,1\n0.0,0.0,2\n"
+
+
 class TestPrep:
     def test_artifacts_and_split_sizes(self, pipeline):
         prep = pipeline["prep"]
@@ -141,6 +191,16 @@ class TestPrep:
                      "--strict")
         assert rc == 2
         assert "line 1" in capsys.readouterr().err
+
+    def test_undecodable_byte_names_its_line(self, pipeline, tmp_path, capsys):
+        lines = pipeline["corpus"].read_bytes().splitlines()[:7]
+        lines[3] = lines[3].replace(b",", b",\xff", 1)
+        data = tmp_path / "bad.txt"
+        data.write_bytes(b"\n".join(lines) + b"\n")
+        assert run_cli("prep", "--data", data, "--out", tmp_path / "out") == 2
+        assert capsys.readouterr().err == (
+            f"error in prep: {data}, line 4: 'utf-8' codec can't decode byte "
+            "0xff in position 2: invalid start byte\n")
 
     def test_strict_mode_passes_with_learned_schema(self, pipeline, tmp_path):
         rc = run_cli(
@@ -347,6 +407,31 @@ class TestQuantizeCompareDetect:
         assert from_file.err == from_stdin.err
         assert "errors 3\ncause EmptyLabelError 1\ncause FieldCountError 2\n" \
             in from_file.err
+
+    def test_file_decodes_undecodable_bytes_as_stdin_does(
+            self, pipeline, tmp_path, capsys, monkeypatch):
+        # sys.stdin decodes with surrogateescape under the C and C.UTF-8
+        # locales; a file must give the same verdicts and alerts
+        lines = pipeline["corpus"].read_bytes().splitlines()[:7]
+        lines[3] = lines[3].replace(b"tcp", b"tc\xff", 1)
+        assert b"tc\xff" in lines[3]
+        data = tmp_path / "bad.txt"
+        data.write_bytes(b"\n".join(lines) + b"\n")
+        model_args = ("--model", pipeline["model"],
+                      "--schema", pipeline["prep"] / "schema.txt")
+        assert run_cli("detect", "--data", data, *model_args) == 0
+        from_file = capsys.readouterr()
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
+            io.BytesIO(data.read_bytes()), encoding="utf-8",
+            errors="surrogateescape"))
+        assert run_cli("detect", "--data", "-", *model_args) == 0
+        from_stdin = capsys.readouterr()
+        assert len(from_file.out.splitlines()) == 7
+        assert from_file.out == from_stdin.out
+        assert from_file.err == from_stdin.err
+        assert "record 3: feature 'protocol_type': unknown symbol " \
+            "'tc\\udcff'\n" in from_file.err
+        assert "errors 1\ncause UnknownSymbolError 1\n" in from_file.err
 
     def test_stdin_verdict_arrives_before_input_ends(self, pipeline):
         proc = subprocess.Popen(
