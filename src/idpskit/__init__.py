@@ -45,7 +45,6 @@ from .preprocessing import (
     split_dataset,
 )
 from .mlp import (
-    MLPClassifier,
     Network,
     NetworkLayout,
     TrainConfig,

@@ -10,6 +10,7 @@ byte-identical artifacts.
 import argparse
 import codecs
 import collections
+import contextlib
 import io
 import json
 import os
@@ -35,6 +36,7 @@ from .model_io import (
     file_sha256,
     load_model,
     load_qmodel,
+    open_atomic,
     save_model,
     save_qmodel,
     write_atomic,
@@ -380,19 +382,28 @@ class LiveLines:
         return bool(self._lines)
 
     def __iter__(self):
-        tail = ""
+        # the pieces of a line whose "\n" has not arrived yet: only newly
+        # decoded text is searched, so a long line costs linear time
+        pending = []
         while True:
             while self._lines:
                 yield self._lines.popleft()
             self._out.flush()
             block = self._raw.read1(self.READ_SIZE)
-            tail += self._decoder.decode(block, final=not block)
+            text = self._decoder.decode(block, final=not block)
             if not block:
+                tail = "".join(pending) + text
                 if tail:
                     yield tail
                 return
-            *lines, tail = tail.split("\n")
+            if "\n" not in text:
+                pending.append(text)
+                continue
+            first, *lines, rest = text.split("\n")
+            pending.append(first)
+            self._lines.append("".join(pending) + "\n")
             self._lines.extend(line + "\n" for line in lines)
+            pending = [rest]
 
 
 def cmd_detect(args) -> int:
@@ -411,25 +422,34 @@ def cmd_detect(args) -> int:
                                                 errors="surrogateescape"))
         idle = None
     summary = StreamSummary()
-    out_lines = []
-    for v in process_stream(lines, bundle, schema, policy, idle=idle):
-        scores = ",".join(f"{s:.6f}" for s in v.scores)
-        line = f"{v.record_index},{v.predicted},{v.action},{scores}"
-        print(line)
-        if v.error is not None:
-            print(f"record {v.record_index}: {v.error}", file=sys.stderr)
-        summary.update(v)
-        if summary.n_records % CHUNK == 0:
-            sys.stdout.flush()
-        if args.out:
-            out_lines.append(line)
-    print(summary.render(), file=sys.stderr)
+    header = "index,predicted_class,action," + ",".join(
+        f"score{c}" for c in range(N_CLASSES))
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        header = "index,predicted_class,action," + ",".join(
-            f"score{c}" for c in range(N_CLASSES))
-        write_atomic(os.path.join(args.out, "verdicts.csv"),
-                     "\n".join([header] + out_lines) + "\n")
+    # verdicts.csv is written a chunk of lines at a time as the verdicts
+    # come, under a temp name that is renamed once the stream ends, so
+    # memory holds one chunk of its lines, not all of them
+    with (open_atomic(os.path.join(args.out, "verdicts.csv")) if args.out
+          else contextlib.nullcontext()) as csv:
+        rows = [header]
+        for v in process_stream(lines, bundle, schema, policy, idle=idle):
+            scores = ",".join(f"{s:.6f}" for s in v.scores)
+            line = f"{v.record_index},{v.predicted},{v.action},{scores}"
+            print(line)
+            if v.error is not None:
+                print(f"record {v.record_index}: {v.error}", file=sys.stderr)
+            summary.update(v)
+            if csv is not None:
+                rows.append(line)
+            if summary.n_records % CHUNK == 0:
+                sys.stdout.flush()
+                if csv is not None:
+                    csv.write("\n".join(rows) + "\n")
+                    rows = []
+        if csv is not None and rows:
+            csv.write("\n".join(rows) + "\n")
+    print(summary.render(), file=sys.stderr)
+    if args.out:
         write_atomic(os.path.join(args.out, "stream_summary.txt"),
                      summary.render() + "\n")
         inputs = [args.model] + [p for p in (args.schema,) if p]

@@ -5,6 +5,12 @@ validation-based early stopping: an epoch whose validation MSE exceeds the
 best seen so far counts as a validation failure, and training stops after
 `patience` consecutive failures, restoring the best-epoch weights.
 Everything is deterministic given (seed, data, config).
+
+Activations are feature-major, (units, rows). The weight gradients add
+their sums over training rows in fixed blocks, in order, and the other row
+sums are numpy's own, which use no threads. With the bundled OpenBLAS
+0.3.31 the trained bits are the same at 1, 2 and 3 BLAS threads; more
+threads and other BLAS builds are unverified.
 """
 
 import math
@@ -14,7 +20,15 @@ import numpy as np
 
 from .exceptions import TrainingDivergedError
 from .preprocessing import one_hot_matrix
-from .validation import check_feature_array, check_labels, check_consistent_length
+from .validation import check_feature_array
+
+# Rows per block in the sums over training rows, added in order. A whole
+# product's bits follow how OpenBLAS splits it among threads; a block's
+# did not, up to a size: with OpenBLAS 0.3.31 on a 2-core x86_64 host,
+# blocks of 256 to 2048 rows gave the same bits at 1, 2 and 3 threads and
+# 4096-row blocks did not. 1024 is as fast as 2048 and leaves a margin
+# below that edge. Other thread counts and builds are unverified.
+GRAD_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -111,21 +125,31 @@ def init_network(layout: NetworkLayout, seed: int) -> Network:
     return Network(weights=weights, biases=biases, layout=layout)
 
 
-def softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+def _softmax(z: np.ndarray) -> np.ndarray:
+    """Softmax over the units axis (-2), computed in place in z.
+
+    On a (units, rows) array numpy adds the units in index order.
+    """
+    z -= z.max(axis=-2, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-2, keepdims=True)
+    return z
 
 
-def _forward_all(net: Network, X: np.ndarray):
-    """Return the list of layer activations, input first, softmax last."""
-    activations = [X]
-    a = X
+def _forward_all(net: Network, A: np.ndarray):
+    """Return the list of layer activations, input first, softmax last.
+
+    The layout is feature-major: A is (features, rows), usually X.T as a
+    view, or a stack (n, features, 1); every activation keeps its units on
+    axis -2 and its rows on axis -1.
+    """
+    activations = [A]
     last = net.n_layers - 1
     for l, (W, b) in enumerate(zip(net.weights, net.biases)):
-        z = a @ W.T + b
-        a = softmax(z) if l == last else np.tanh(z)
-        activations.append(a)
+        z = W @ A
+        z += b[:, None]
+        A = _softmax(z) if l == last else np.tanh(z, out=z)
+        activations.append(A)
     return activations
 
 
@@ -133,16 +157,17 @@ def forward(net: Network, x) -> np.ndarray:
     """Network output for one input vector, one row per input, or a stack.
 
     A stack has shape (n, 1, input_size) and gives (n, 1, output_size).
-    numpy multiplies each (1, input_size) matrix of a stack on its own, as
+    numpy multiplies each (input_size, 1) column of a stack on its own, as
     it does one vector, so every row's output has the bits that row gets
     alone. A 2-D batch is one matrix product, whose last bits may differ.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 3 and x.shape[1] == 1:
         check_feature_array(x[:, 0, :], n_features=net.layout.input_size)
-        return _forward_all(net, x)[-1]
+        out = _forward_all(net, x.transpose(0, 2, 1))[-1]
+        return out.transpose(0, 2, 1)
     X = check_feature_array(x, n_features=net.layout.input_size)
-    out = _forward_all(net, X)[-1]
+    out = _forward_all(net, X.T)[-1].T
     return out[0] if x.ndim == 1 else out
 
 
@@ -155,25 +180,42 @@ def loss_mse(outputs, targets) -> float:
     return float(np.mean((outputs - targets) ** 2))
 
 
+def _row_block_sum(dz: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """dz @ A.T as a sum over GRAD_BLOCK-row blocks, added in order."""
+    n = dz.shape[1]
+    out = dz[:, :GRAD_BLOCK] @ A[:, :GRAD_BLOCK].T
+    for s in range(GRAD_BLOCK, n, GRAD_BLOCK):
+        out += dz[:, s:s + GRAD_BLOCK] @ A[:, s:s + GRAD_BLOCK].T
+    return out
+
+
 def _batch_gradients(net: Network, activations: list, T: np.ndarray):
     """Exact gradients of loss_mse(forward(X), T) w.r.t. weights and biases.
 
-    activations is _forward_all(net, X) at the current weights.
+    activations is _forward_all(net, X.T) at the current weights and T the
+    (rows, k) targets. Each hidden activation is overwritten with its
+    layer's delta once the weight gradient above it has been taken.
     """
     n, k = T.shape
     y = activations[-1]
     # d loss / d softmax-input, through the softmax Jacobian
-    e = 2.0 * (y - T) / (n * k)
-    dz = y * (e - np.sum(e * y, axis=1, keepdims=True))
+    e = y - T.T
+    e *= 2.0
+    e /= n * k
+    dz = e - (e * y).sum(axis=0)
+    dz *= y
     dws = [None] * net.n_layers
     dbs = [None] * net.n_layers
     for l in range(net.n_layers - 1, -1, -1):
         a_prev = activations[l]
-        dws[l] = dz.T @ a_prev
-        dbs[l] = dz.sum(axis=0)
+        dws[l] = _row_block_sum(dz, a_prev)
+        dbs[l] = dz.sum(axis=1)
         if l > 0:
-            da = dz @ net.weights[l]
-            dz = da * (1.0 - activations[l] ** 2)
+            da = net.weights[l].T @ dz
+            a_prev *= a_prev
+            np.subtract(1.0, a_prev, out=a_prev)
+            a_prev *= da
+            dz = a_prev
     return dws, dbs
 
 
@@ -181,7 +223,7 @@ def backward(net: Network, x, target):
     """Per-sample gradients: (dW list, db list) for one (input, target) pair."""
     X = check_feature_array(x, n_features=net.layout.input_size)
     T = np.asarray(target, dtype=np.float64).reshape(1, -1)
-    return _batch_gradients(net, _forward_all(net, X), T)
+    return _batch_gradients(net, _forward_all(net, X.T), T)
 
 
 class PatienceTracker:
@@ -237,7 +279,7 @@ def train(net: Network, train_set, val_set, cfg: TrainConfig, on_epoch=None):
     history = TrainHistory()
     tracker = PatienceTracker(cfg.patience)
     best_net = net.copy()
-    acts = _forward_all(net, Xtr)
+    acts = _forward_all(net, Xtr.T)
 
     for epoch in range(1, cfg.max_epochs + 1):
         dws, dbs = _batch_gradients(net, acts, Ttr)
@@ -248,9 +290,9 @@ def train(net: Network, train_set, val_set, cfg: TrainConfig, on_epoch=None):
             net.biases[l] += vel_b[l]
 
         acts = None  # release the pre-update activations before the new pass
-        acts = _forward_all(net, Xtr)
-        train_mse = loss_mse(acts[-1], Ttr)
-        val_mse = loss_mse(_forward_all(net, Xva)[-1], Tva)
+        acts = _forward_all(net, Xtr.T)
+        train_mse = loss_mse(acts[-1], Ttr.T)
+        val_mse = loss_mse(_forward_all(net, Xva.T)[-1], Tva.T)
         if not (np.isfinite(train_mse) and np.isfinite(val_mse)):
             raise TrainingDivergedError(
                 f"non-finite loss at epoch {epoch} "
@@ -291,71 +333,3 @@ def predict_class(net: Network, x):
     if out.ndim == 1:
         return int(np.argmax(out))
     return np.argmax(out, axis=1).astype(np.int64)
-
-
-class MLPClassifier:
-    """Estimator-style wrapper around the functional training core.
-
-    fit(X, y, X_val, y_val) trains with early stopping against the given
-    validation partition and keeps the best-epoch network in `network_`
-    with the run record in `history_`.
-    """
-
-    def __init__(self, hidden_sizes=(20,), n_classes=6, learning_rate=0.01,
-                 momentum=0.9, patience=6, goal_mse=0.01, max_epochs=1000,
-                 seed=0):
-        self.hidden_sizes = tuple(hidden_sizes)
-        self.n_classes = n_classes
-        self.learning_rate = learning_rate
-        self.momentum = momentum
-        self.patience = patience
-        self.goal_mse = goal_mse
-        self.max_epochs = max_epochs
-        self.seed = seed
-        self.network_ = None
-        self.history_ = None
-
-    _param_names = ("hidden_sizes", "n_classes", "learning_rate", "momentum",
-                    "patience", "goal_mse", "max_epochs", "seed")
-
-    def get_params(self, deep=True):
-        return {name: getattr(self, name) for name in self._param_names}
-
-    def set_params(self, **params):
-        for name, value in params.items():
-            if name not in self._param_names:
-                raise ValueError(f"unknown parameter {name!r}")
-            setattr(self, name, value)
-        return self
-
-    def _config(self):
-        return TrainConfig(
-            max_epochs=self.max_epochs, patience=self.patience,
-            goal_mse=self.goal_mse, learning_rate=self.learning_rate,
-            momentum=self.momentum, seed=self.seed,
-        )
-
-    def fit(self, X, y, X_val, y_val):
-        X = check_feature_array(X)
-        y = check_labels(y, self.n_classes)
-        X_val = check_feature_array(X_val, n_features=X.shape[1], name="X_val")
-        y_val = check_labels(y_val, self.n_classes, name="y_val")
-        check_consistent_length(X, y)
-        check_consistent_length(X_val, y_val)
-        layout = NetworkLayout(X.shape[1], self.hidden_sizes, self.n_classes)
-        net = init_network(layout, self.seed)
-        self.network_, self.history_ = train(net, (X, y), (X_val, y_val),
-                                             self._config())
-        return self
-
-    def _check_fitted(self):
-        if self.network_ is None:
-            raise ValueError("classifier is not fitted")
-
-    def predict(self, X):
-        self._check_fitted()
-        return predict_class(self.network_, check_feature_array(X))
-
-    def predict_proba(self, X):
-        self._check_fitted()
-        return forward(self.network_, check_feature_array(X))

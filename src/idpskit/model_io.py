@@ -6,6 +6,7 @@ with the same inputs produce byte-identical files. The first line is a
 format-version guard.
 """
 
+import contextlib
 import hashlib
 import math
 import os
@@ -40,10 +41,10 @@ def _umask() -> int:
     return mask
 
 
-def write_atomic(path, text) -> None:
-    """Write text via a temp file in the target directory, then rename.
-
-    text is a str, or an iterable of str pieces written one after another.
+@contextlib.contextmanager
+def open_atomic(path):
+    """A text handle on a temp file in the target directory, renamed to
+    path when the block ends and removed if it raises.
 
     The file gets the mode open() would give it (0o666 less the umask):
     mkstemp creates it 0o600 and the rename keeps that.
@@ -52,13 +53,22 @@ def write_atomic(path, text) -> None:
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.writelines([text] if isinstance(text, str) else text)
+            yield fh
         os.chmod(tmp, 0o666 & ~_umask())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_atomic(path, text) -> None:
+    """Write text via a temp file in the target directory, then rename.
+
+    text is a str, or an iterable of str pieces written one after another.
+    """
+    with open_atomic(path) as fh:
+        fh.writelines([text] if isinstance(text, str) else text)
 
 
 def _floats(values):

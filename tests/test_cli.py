@@ -408,6 +408,46 @@ class TestQuantizeCompareDetect:
         assert "errors 3\ncause EmptyLabelError 1\ncause FieldCountError 2\n" \
             in from_file.err
 
+    def test_verdicts_csv_is_written_as_verdicts_come(
+            self, pipeline, tmp_path, capsys, monkeypatch):
+        lines = pipeline["corpus"].read_text().splitlines()[:300]
+        for i, bad in ((0, "garbage,line"), (64, lines[1] + ",extra"),
+                       (150, lines[2].rsplit(",", 1)[0] + ",")):
+            lines.insert(i, bad)
+        data = "\n".join(lines) + "\n"
+        out = tmp_path / "det"
+        seen = []
+
+        class Feed(io.BytesIO):
+            # all lines arrive at once; at the end of input, verdicts.csv
+            # must be on disk under its temp name, partly written
+            def read1(self, size=-1):
+                block = super().read1(size)
+                if not block:
+                    seen.extend((p.name, p.read_bytes())
+                                for p in out.iterdir())
+                return block
+
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(Feed(data.encode()),
+                                                          encoding="utf-8"))
+        assert run_cli("detect", "--data", "-", "--model", pipeline["model"],
+                       "--schema", pipeline["prep"] / "schema.txt",
+                       "--out", out) == 0
+        captured = capsys.readouterr()
+        assert len(captured.out.splitlines()) == 303
+        header = "index,predicted_class,action," + ",".join(
+            f"score{c}" for c in range(6))
+        csv = (out / "verdicts.csv").read_bytes()
+        assert csv == (header + "\n" + captured.out).encode()
+        [(name, partial)] = seen
+        assert name.startswith(".tmp-") and 0 < len(partial) < len(csv)
+        assert csv.startswith(partial)
+        assert sorted(p.name for p in out.iterdir()) == [
+            "run_manifest.json", "stream_summary.txt", "verdicts.csv"]
+        mask = os.umask(0)
+        os.umask(mask)
+        assert (out / "verdicts.csv").stat().st_mode & 0o777 == 0o666 & ~mask
+
     def test_file_decodes_undecodable_bytes_as_stdin_does(
             self, pipeline, tmp_path, capsys, monkeypatch):
         # sys.stdin decodes with surrogateescape under the C and C.UTF-8

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +10,7 @@ from hypothesis import strategies as st
 
 from idpskit.exceptions import TrainingDivergedError
 from idpskit.mlp import (
-    MLPClassifier,
+    GRAD_BLOCK,
     Network,
     NetworkLayout,
     PatienceTracker,
@@ -187,6 +190,135 @@ class TestBackward:
         np.testing.assert_array_equal(dws[0][:, 2], 0.0)
 
 
+def row_major_forward_all(net, X):
+    """The row-major forward pass: activations are (rows, units)."""
+    activations = [X]
+    a = X
+    last = net.n_layers - 1
+    for l, (W, b) in enumerate(zip(net.weights, net.biases)):
+        z = a @ W.T + b
+        if l == last:
+            e = np.exp(z - z.max(axis=1, keepdims=True))
+            a = e / e.sum(axis=1, keepdims=True)
+        else:
+            a = np.tanh(z)
+        activations.append(a)
+    return activations
+
+
+def row_major_gradients(net, activations, T):
+    """The row-major gradients of loss_mse(forward(X), T), one gemm each."""
+    n, k = T.shape
+    y = activations[-1]
+    e = 2.0 * (y - T) / (n * k)
+    dz = y * (e - np.sum(e * y, axis=1, keepdims=True))
+    dws = [None] * net.n_layers
+    dbs = [None] * net.n_layers
+    for l in range(net.n_layers - 1, -1, -1):
+        dws[l] = dz.T @ activations[l]
+        dbs[l] = dz.sum(axis=0)
+        if l > 0:
+            dz = (dz @ net.weights[l]) * (1.0 - activations[l] ** 2)
+    return dws, dbs
+
+
+# The feature-major kernel adds its sums in another order than the
+# row-major formulas, so each element must agree to this share of the
+# largest magnitude in its array: far above the rounding of a sum over a
+# few thousand rows, far below any change in what is computed.
+KERNEL_RTOL = 1e-9
+
+
+def assert_kernel_close(got, want):
+    np.testing.assert_allclose(got, want, rtol=KERNEL_RTOL,
+                               atol=KERNEL_RTOL * np.abs(want).max())
+
+
+@st.composite
+def kernel_cases(draw):
+    n_in = draw(st.integers(1, 6))
+    hidden = draw(st.lists(st.integers(1, 8), min_size=1, max_size=2))
+    k = draw(st.integers(2, 10))
+    n = draw(st.one_of(
+        st.integers(1, 40),
+        st.sampled_from([GRAD_BLOCK - 1, GRAD_BLOCK, GRAD_BLOCK + 1,
+                         2 * GRAD_BLOCK + 3])))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    net = make_net([n_in, *hidden, k], seed)
+    for b in net.biases:
+        b[:] = rng.normal(0.0, 0.5, b.shape)
+    X = rng.uniform(-1, 1, (n, n_in))
+    T = one_hot_matrix(rng.integers(0, k, n), k)
+    return net, X, T
+
+
+class TestFeatureMajorKernel:
+    """_forward_all and _batch_gradients against the row-major formulas."""
+
+    @given(kernel_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_forward_matches_row_major(self, case):
+        net, X, _ = case
+        want = row_major_forward_all(net, X)
+        got = _forward_all(net, X.T)
+        assert np.shares_memory(got[0], X)  # the input is a view, not a copy
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_kernel_close(g.T, w)
+        assert_kernel_close(forward(net, X), want[-1])
+        stack = forward(net, X[:, None, :])
+        for x, row in zip(X[:3], stack[:3, 0]):
+            assert forward(net, x).tobytes() == row.tobytes()
+
+    @given(kernel_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_gradients_match_row_major(self, case):
+        net, X, T = case
+        want_w, want_b = row_major_gradients(net, row_major_forward_all(net, X),
+                                             T)
+        got_w, got_b = _batch_gradients(net, _forward_all(net, X.T), T)
+        for g, w in zip(got_w + got_b, want_w + want_b):
+            assert g.shape == w.shape
+            assert_kernel_close(g, w)
+
+
+THREAD_RUN = """
+import hashlib
+import numpy as np
+from idpskit.mlp import NetworkLayout, TrainConfig, init_network, train
+rng = np.random.default_rng(5)
+X, y = rng.uniform(0, 1, (35000, 41)), rng.integers(0, 6, 35000)
+Xv, yv = rng.uniform(0, 1, (500, 41)), rng.integers(0, 6, 500)
+# a step this large carries a gradient's last bits into the weights; at
+# learning rate 0.01 most of them round away within 3 epochs
+net, history = train(init_network(NetworkLayout(41, (20,), 6), 5), (X, y),
+                     (Xv, yv), TrainConfig(max_epochs=3, patience=3,
+                                           goal_mse=-1.0, learning_rate=1.0))
+digest = hashlib.sha256(repr((history.train_mse, history.val_mse)).encode())
+for a in net.weights + net.biases:
+    digest.update(a.tobytes())
+print(history.n_epochs, digest.hexdigest())
+"""
+
+
+def test_weights_do_not_depend_on_blas_threads():
+    import idpskit
+
+    src = os.path.dirname(os.path.dirname(idpskit.__file__))
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+                       p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        child = subprocess.run([sys.executable, "-c", THREAD_RUN], env=env,
+                               capture_output=True, text=True, timeout=300,
+                               check=True)
+        digests.append(child.stdout.split())
+    assert digests[0][0] == "3"
+    assert digests[0] == digests[1]
+
+
 def xor_style_data():
     X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
     y = np.array([0, 1, 1, 0])
@@ -337,14 +469,14 @@ def two_pass_train(net, train_set, val_set, cfg):
     tracker = PatienceTracker(cfg.patience)
     best_net = net.copy()
     for epoch in range(1, cfg.max_epochs + 1):
-        dws, dbs = _batch_gradients(net, _forward_all(net, Xtr), Ttr)
+        dws, dbs = _batch_gradients(net, _forward_all(net, Xtr.T), Ttr)
         for l in range(net.n_layers):
             vel_w[l] = cfg.momentum * vel_w[l] - cfg.learning_rate * dws[l]
             vel_b[l] = cfg.momentum * vel_b[l] - cfg.learning_rate * dbs[l]
             net.weights[l] += vel_w[l]
             net.biases[l] += vel_b[l]
-        train_mse = loss_mse(_forward_all(net, Xtr)[-1], Ttr)
-        val_mse = loss_mse(_forward_all(net, Xva)[-1], Tva)
+        train_mse = loss_mse(_forward_all(net, Xtr.T)[-1], Ttr.T)
+        val_mse = loss_mse(_forward_all(net, Xva.T)[-1], Tva.T)
         history.train_mse.append(train_mse)
         history.val_mse.append(val_mse)
         exhausted = tracker.update(epoch, val_mse)
@@ -484,27 +616,3 @@ class TestPredictClass:
         before = predict_class(net, x)
         net.biases[-1][:] += shift
         assert predict_class(net, x) == before
-
-
-class TestMLPClassifier:
-    def test_fit_predict_and_params(self):
-        X, y = xor_style_data()
-        clf = MLPClassifier(hidden_sizes=(4,), n_classes=2, learning_rate=0.5,
-                            momentum=0.9, patience=1000, max_epochs=1000,
-                            seed=1)
-        clf.fit(X, y, X, y)
-        np.testing.assert_array_equal(clf.predict(X), y)
-        probs = clf.predict_proba(X)
-        assert probs.shape == (4, 2)
-        params = clf.get_params()
-        assert params["hidden_sizes"] == (4,)
-        clone = MLPClassifier().set_params(**params)
-        assert clone.get_params() == params
-
-    def test_unfitted_raises(self):
-        with pytest.raises(ValueError):
-            MLPClassifier().predict(np.zeros((1, 41)))
-
-    def test_unknown_param_rejected(self):
-        with pytest.raises(ValueError):
-            MLPClassifier().set_params(nope=1)

@@ -18,6 +18,7 @@ from idpskit.model_io import (
     format_qmodel,
     load_model,
     load_qmodel,
+    open_atomic,
     parse_model,
     parse_qmodel,
     save_model,
@@ -255,3 +256,11 @@ class TestWriteAtomic:
         st_mode = os.stat(tmp_path / "artifact.txt").st_mode
         assert stat.S_IMODE(st_mode) == mode
         assert os.listdir(tmp_path) == ["artifact.txt"]
+
+    def test_error_leaves_neither_file_nor_temp(self, tmp_path):
+        with pytest.raises(RuntimeError):
+            with open_atomic(tmp_path / "artifact.txt") as fh:
+                fh.write("partial\n")
+                assert len(os.listdir(tmp_path)) == 1
+                raise RuntimeError("stream failed")
+        assert os.listdir(tmp_path) == []
